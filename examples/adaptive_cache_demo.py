@@ -10,7 +10,7 @@ footprint — the paper's adaptive cache partitioning (sections 4.2/4.3).
 from repro.hw.machine import milan
 from repro.runtime.ops import AccessBatch, YieldPoint
 from repro.runtime.policy import CharmStrategy
-from repro.runtime.profiler import sample_workers
+from repro.obs.profiler import sample_workers
 from repro.runtime.runtime import Runtime
 
 

@@ -59,7 +59,7 @@ from repro.bench.cells import (
     execute_cell_telemetry,
 )
 from repro.bench.cost import CostModel
-from repro.bench.store import ResultStore
+from repro.bench.store import STORE_FILENAME, ResultStore
 
 __all__ = [
     "SweepStats",
@@ -369,28 +369,38 @@ def run_cells(cells: List[ExperimentCell], jobs: int = 1, use_cache: bool = True
     if stats.cache_hits:
         say(f"{stats.cache_hits}/{stats.total} cells from cache")
 
-    model = CostModel.from_store(get_store()) if use_cache else CostModel()
+    # ``use_cache=False`` skips stored *results*, not the store's record
+    # of what cells cost: calibrate from an existing store either way
+    # (without creating one).
+    calibrate = use_cache or (cache_dir() / STORE_FILENAME).exists()
+    model = CostModel.from_store(get_store()) if calibrate else CostModel()
     ordered = _order_cells(todo, model, order)
 
     # ETA from the calibrated cost model: completed estimated-seconds so
     # far give an estimated-seconds/sec rate; remaining estimate / rate
     # is the ETA shown on each progress line.  Self-correcting — a slow
     # host or a mis-calibrated model shifts the observed rate, not the
-    # formula.
+    # formula.  An uncalibrated model's estimates are bare work hints,
+    # not comparable across experiments, and longest-job-first retires
+    # the largest first, so their share overstates progress: without
+    # samples the ETA uses the observed cells/s rate instead.
     est_of = {cell.cell_id: max(model.estimate(cell), 1e-9) for cell in todo}
     total_est = sum(est_of.values())
     done_est = 0.0
     t_exec = time.perf_counter()
 
     def eta_suffix() -> str:
-        if done_est <= 0.0 or done_est >= total_est:
+        if not 0 < done < len(todo):
             return ""
         elapsed = time.perf_counter() - t_exec
         if elapsed <= 0.0:
             return ""
-        # done_est/elapsed is estimated-seconds retired per wall-second,
-        # which already reflects pool parallelism — no jobs division
-        remaining = (total_est - done_est) * elapsed / done_est
+        # done/elapsed rates already reflect pool parallelism — no jobs
+        # division
+        if model.calibrated:
+            remaining = (total_est - done_est) * elapsed / done_est
+        else:
+            remaining = (len(todo) - done) * elapsed / done
         return f", eta ~{_fmt_eta(remaining)}"
 
     done = 0

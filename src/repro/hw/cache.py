@@ -150,6 +150,16 @@ class ChipletCache:
             self._uniform_nb = 0
         return True
 
+    def drop_run(self, blocks: Sequence[int]) -> None:
+        """Bulk :meth:`drop` of distinct blocks that are all resident."""
+        slots = list(map(self._slot.pop, blocks))
+        uni = self._uniform_nb
+        self.used_bytes -= (len(slots) * uni if uni
+                            else int(self._sizes[slots].sum()))
+        self._free.extend(slots)
+        if not self._slot:
+            self._uniform_nb = 0
+
     def blocks(self) -> Iterable[int]:
         return self._slot.keys()
 

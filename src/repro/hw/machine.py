@@ -22,7 +22,7 @@ by source — the signal consumed by CHARM's Alg. 1.
 
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -355,11 +355,14 @@ class Machine:
         ``Worker._do_batch`` — each access is serviced at the batch's
         rolling issue time ``t``, pure latency overlaps across ``mlp``
         outstanding misses while queue waits push out the completion max.
-        Batches over BIND/INTERLEAVE regions additionally route their
-        long miss / local-hit / one-peer-fill runs through the numpy
-        kernels of :mod:`repro.hw.vector` (duplicates cut segment
-        boundaries rather than forcing the batch scalar); every other
-        shape takes the scalar loop.
+        Batches over BIND/INTERLEAVE regions take the numpy kernels of
+        :mod:`repro.hw.vector`: unsorted, duplicate-laden and write
+        batches are serviced whole by the gather kernel (including
+        batches that overflow the requester's slice); sorted batches
+        and the gather kernel's declines route their long miss /
+        local-hit / one-peer-fill runs through the segment kernels
+        (duplicates cut segment boundaries); every other shape takes the
+        scalar loop.
         Both paths are bit-identical to the per-access servicing
         (``blocks`` may be a Python sequence or an int ndarray).
         """
@@ -1009,6 +1012,40 @@ class Machine:
                 "avg_ns": flat[i] / fills[i] if fills[i] else 0.0,
             }
             for src, i in SOURCE_INDEX.items()
+        }
+
+    def state_fingerprint(self) -> Dict[str, Any]:
+        """Every piece of mutable machine state, as comparable values.
+
+        The equivalence contract of the access paths: two machines that
+        serviced the same accesses through different paths (vector
+        kernels vs the forced-scalar twin, compiled programs vs the
+        generator twin) must have equal fingerprints.  Covers each
+        slice's LRU order with resident sizes, the sharing directory,
+        per-slice hit/miss/eviction counters and ``used_bytes``, the
+        ``free_at``/``busy_ns``/``wait_ns``/``requests`` of every memory
+        channel, fabric link and cross-socket link (per server — not the
+        per-socket aggregates of :meth:`bandwidth_stats`), the per-core
+        fill counters, the per-source fill-latency chains and
+        ``total_accesses``.
+        """
+        caches = self.caches
+
+        def servers(rows):
+            return [(s.free_at, s.busy_ns, s.wait_ns, s.requests) for s in rows]
+
+        xl = self.xlinks._servers
+        return {
+            "lru": [list(c._lru.items()) for c in caches.caches],
+            "directory": {k: frozenset(v) for k, v in caches.directory.items()},
+            "slices": [(c.hits, c.misses, c.evictions, c.used_bytes)
+                       for c in caches.caches],
+            "channels": [servers(s) for s in self.channels._servers],
+            "links": servers(self.links._servers),
+            "xlinks": servers(xl[pair] for pair in sorted(xl)),
+            "counters": [list(c.v) for c in self.counters.per_core],
+            "fill_latency": list(self._fill_lat),
+            "total_accesses": self.total_accesses,
         }
 
     def bandwidth_stats(self) -> Dict:

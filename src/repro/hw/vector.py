@@ -19,12 +19,25 @@ products for the scalar path's sequential accumulation: every float chain
 the scalar loop builds one ``+=`` at a time is rebuilt here with a seeded
 ``np.cumsum`` (numpy accumulates left-to-right in IEEE double, exactly
 like the interpreter), and every comparison runs on those exact values.
-The equivalence contract is enforced by the hypothesis property suite in
-``tests/test_vector_kernels.py`` and ``tests/test_access_batch_equivalence.py``.
+The equivalence contract is enforced by the property suites in
+``tests/test_vector_kernels.py``, ``tests/test_access_batch_equivalence.py``
+and ``tests/test_gather_equivalence.py``.
 
-A segment is a maximal duplicate-free span of the batch (repeated blocks
-cut segment boundaries), classified per *run* of equal service class by
-``Machine._service_segment`` (see MODELING.md for the full table):
+Irregular batches — unsorted, duplicate-laden, write batches with sharers
+— are serviced whole by the gather kernel (:func:`gather_segment`): one
+argsort groups the repeats, a directory lookup per unique block
+classifies them, and every access gets a service class from one of two
+classifiers — a unique-level certificate when the batch fits the
+requester's slice, an exact per-access LRU replay when its fills evict
+its own blocks — before one shared service tail
+(:func:`_service_accesses`) times the whole batch.  It declines, untouched,
+only for non-uniformly sized slices and for sorted-distinct batches that
+overflow the slice (those stream faster through the segment kernels).
+
+Sorted and declined batches are split into maximal duplicate-free
+*segments* (repeated blocks cut segment boundaries), classified per *run*
+of equal service class by ``Machine._service_segment`` (see MODELING.md
+for the full table):
 
 - **miss** runs — blocks resident in no L3 slice — go to
   :func:`dram_fill_segment` (pure DRAM fills; writes service like reads
@@ -45,6 +58,7 @@ handful of whole-segment array ops plus O(channels) scalar accounting.
 """
 
 from bisect import bisect_left, insort
+from collections import deque
 from itertools import islice, repeat
 from math import gcd
 from typing import List, Optional, Tuple
@@ -65,7 +79,7 @@ from repro.hw.memory import MemPolicy
 _LUT_SRC = np.array(
     (IDX_LOCAL_CHIPLET, IDX_DRAM_LOCAL, IDX_DRAM_REMOTE,
      IDX_REMOTE_CHIPLET, IDX_REMOTE_NUMA_CHIPLET),
-    dtype=np.int64,
+    dtype=np.int8,
 )
 
 # Above this many repeats, replaying a constant ``+= s`` chain with a
@@ -723,6 +737,122 @@ def _bind_arith_segment(
     return float((t + ns).max())
 
 
+def _dram_homes(region, my_node: int,
+                ublocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Home node and class code (1 local / 2 remote DRAM) per block."""
+    if region.policy is MemPolicy.BIND:
+        homes = np.full(ublocks.shape[0], region.home_node, dtype=np.int64)
+    else:  # INTERLEAVE
+        homes = ublocks % region.numa_nodes
+    return homes, np.where(homes == my_node, 1, 2)
+
+
+def _peer_holders(machine, chiplet: int,
+                  others: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Serving peer and class code (3 same / 4 cross socket) per mask.
+
+    The scalar path's min-id holder per distance class: the lowest set
+    bit of the same-socket subset, else of the whole mask.  ``log2`` of
+    an exact power of two is exact in float64.
+    """
+    socket_of = machine.topo.socket_of_chiplet_arr
+    my_socket = int(socket_of[chiplet])
+    same = others & np.int64(machine.caches._socket_mask[my_socket])
+    cand = np.where(same != 0, same, others)
+    low = cand & -cand
+    holders = np.log2(low.astype(np.float64)).astype(np.int64)
+    return holders, np.where(socket_of[holders] == my_socket, 3, 4)
+
+
+def _certify_evictions(slot_map, len0: int, maxlen: int, nu: int,
+                       res_u: np.ndarray, first_pos: np.ndarray,
+                       ukeys: np.ndarray):
+    """Unique-level eviction interleaving of a batch that fits the slice.
+
+    Fills evict from the LRU front; a block classified as a hit whose
+    first touch comes *after* its eviction is re-missed by the scalar
+    loop.  Replays the exact interleaving of touches and evictions at the
+    unique level (touches in first-occurrence order; each overflowing
+    fill pops the oldest surviving untouched original) and returns
+    ``(victims, reclass)``: the evicted keys in scalar eviction order and
+    the indices of resident uniques that must be *reclassified* as the
+    fill the scalar loop performs (they appear both as victims and as
+    fills).  Returns ``None`` when the batch's fills would evict the
+    batch's own blocks — the regime :func:`_replay_batch` services.
+    """
+    if nu > maxlen:
+        return None  # the batch alone outgrows the slice
+    n_res0 = int(np.count_nonzero(res_u))
+    if len0 + (nu - n_res0) <= maxlen:
+        return [], []
+    if n_res0 == 0:
+        # No resident batch block can be disturbed: victims are exactly
+        # the E oldest entries.
+        E = len0 + nu - maxlen
+        if E > len0:
+            return None
+        return list(islice(slot_map, E)), []
+    # Only resident uniques interact with the eviction frontier: every
+    # other unique just advances it by one (once ``room`` runs out).
+    # Walk the residents alone — in first-touch order, tracking how many
+    # fills (including reclassified re-misses) precede each touch —
+    # instead of simulating all ``nu`` touches.  A resident whose depth
+    # the frontier has already passed was evicted before its first touch:
+    # the scalar loop re-misses it, so reclassify it as a fill.  Touch
+    # order = ascending first_pos (unique values, so the unstable default
+    # sort is deterministic); a resident's fills-before count is its
+    # touch rank minus how many residents were touched before it.
+    # ``n_res0`` is batch-bounded and small, so per-resident C-level
+    # ``list.index`` scans beat building sorted numpy key arrays (every
+    # resident key is in the slice by the directory invariant).
+    kl = list(slot_map)
+    ord1 = np.argsort(first_pos)
+    rpos = res_u[ord1].nonzero()[0]
+    r_idx_o = ord1[rpos]
+    d_seq = [kl.index(k) for k in ukeys[r_idx_o].tolist()]
+    fb_seq = (rpos - np.arange(n_res0)).tolist()
+    room = maxlen - len0
+    tsorted: List[int] = []  # depths of successfully touched, sorted
+    reclass: List[int] = []
+    extra = 0  # reclassified re-misses so far (each is a fill)
+    for i in range(n_res0):
+        e = fb_seq[i] + extra - room
+        if e > 0:
+            # Frontier position after ``e`` evictions: the e-th untouched
+            # depth (touched entries are skipped).
+            p = e
+            while True:
+                c = bisect_left(tsorted, p)
+                if p == e + c:
+                    break
+                p = e + c
+            if p > len0:
+                return None
+            if d_seq[i] < p:
+                reclass.append(int(r_idx_o[i]))
+                extra += 1
+                continue
+        insort(tsorted, d_seq[i])
+    E = len0 + (nu - n_res0 + extra) - maxlen
+    if E > len0 - len(tsorted):
+        return None
+    # Victims: the first E *untouched* insertion-order keys.  The scan
+    # cutoff is the same fixpoint as the frontier (how deep E untouched
+    # entries reach past the touched ones); deleting the few touched
+    # positions back-to-front leaves exactly the E victims in order.
+    c = E
+    while True:
+        k2 = E + bisect_left(tsorted, c)
+        if k2 == c:
+            break
+        c = k2
+    victims = kl[:c]
+    for d in reversed(tsorted):
+        if d < c:
+            del victims[d]
+    return victims, reclass
+
+
 def gather_segment(
     machine,
     region,
@@ -743,41 +873,40 @@ def gather_segment(
 
     The irregular-access kernel: where the segment kernels above need a
     long run of one service class, this one takes the batch exactly as
-    the workload issued it — random order, repeats and all — and
-    services every class at once:
+    the workload issued it — random order, repeats and all.  One stable
+    **argsort** groups the repeats, each *unique* block is looked up once
+    in the directory's bitmask column, and then one of two classifiers
+    assigns every access its service class (0 resident hit, 1/2 local /
+    remote DRAM fill, 3/4 same / cross-socket peer fill):
 
-    1. **argsort** the block vector (stable) and classify each *unique*
-       block in sorted order from the directory's bitmask column: local
-       hit, hit-with-sharers (write), DRAM miss, or peer fill with the
-       min-id holder extracted as a lowest-set-bit;
-    2. **replay duplicates as hits**: within one batch the first touch of
-       a block services as its classified fill/hit, every repeat is a
-       local L3 hit (after a write's first touch the requester is the
-       block's sole holder, so repeat writes invalidate nothing);
-    3. service the per-access arrival times — one seeded cumsum over the
-       per-access issue steps — through the shared servers, with each
-       bank's arrivals **merged across classes in batch order** (the
-       requester link sees misses and peer fills interleaved exactly as
-       the scalar loop would present them);
-    4. **inverse-permute** nothing at the end: arrival times are built in
-       batch order directly (the inverse permutation of the argsort maps
-       each access to its unique's classification), so per-access
-       completions land in place and the slowest one is the batch finish.
+    - **unique-level certificate** (batches that fit the slice): an
+      eviction-interleaving simulation at the unique level
+      (:func:`_certify_evictions`) proves which uniques are hits when
+      first touched; the first touch services as classified and every
+      repeat is a local L3 hit (after a write's first touch the
+      requester is the block's sole holder, so repeat writes invalidate
+      nothing).  The LRU effect of repeats is a recency refresh, so the
+      slice's final tail is the unique blocks in *last*-occurrence order.
+    - **per-access replay** (batches whose fills would evict their own
+      blocks): :func:`_replay_batch` walks the batch once in order over
+      the requester's LRU dict, exactly like the cache half of the
+      scalar loop.
 
-    Duplicate-replay clock math: a repeat contributes a plain-hit issue
-    step ``max(l3_hit / mlp, per_issue_ns)`` and a completion at
-    ``t + l3_hit``; its LRU effect is a recency refresh, so the slice's
-    final tail is the batch's unique blocks in *last*-occurrence order.
+    Both feed :func:`_service_accesses`, which builds arrival times in
+    batch order (one seeded cumsum over the per-access issue steps —
+    steps depend only on pure latency, never on queue waits, so every
+    arrival is known before any server is consulted) and serves every
+    bank's arrivals merged across classes in batch order; the directory
+    and peer invalidations are written back in bulk
+    (:func:`_writeback_directory`).
 
-    Preconditions (checked here, not by the caller): BIND or INTERLEAVE
-    region, uniformly-sized resident entries matching the region's block
-    size, and a classification-stability certificate obtained by
-    *simulating the eviction interleaving* at the unique-block level —
-    if any block classified as a hit would be evicted by earlier fills
-    before its first touch, the kernel declines.  Returns ``None`` (with
-    **no state mutated**) when it declines — the caller falls back to
-    the segment/scalar path — else ``True`` when duplicates were
-    replayed, ``False`` for a duplicate-free batch.
+    Declines — returning ``None`` with **no state mutated**, so the
+    caller falls back to the segment/scalar path — when the region is not
+    BIND/INTERLEAVE-shaped (non-uniformly sized resident entries, blocks
+    larger than the slice), and for *sorted-distinct* batches that
+    overflow the slice: those stream through ``dram_fill_segment``
+    several times faster than the replay.  Otherwise returns ``True``
+    when the batch carried duplicates, ``False`` for a duplicate-free one.
     """
     caches = machine.caches
     cache = caches.caches[chiplet]
@@ -793,7 +922,7 @@ def gather_segment(
         return None
     n = arr.shape[0]
 
-    # -- 1. argsort -> unique blocks + inverse permutation ------------------
+    # -- argsort -> unique blocks ---------------------------------------------
     perm = np.argsort(arr, kind="stable")
     sorted_arr = arr[perm]
     newgrp = np.empty(n, dtype=bool)
@@ -805,12 +934,8 @@ def gather_segment(
     # Stable sort keeps equal blocks in batch order, so a group's first
     # and last members are its first/last occurrence positions.
     first_pos = perm[starts]
-    ends = np.empty(nu, dtype=np.int64)
-    ends[:-1] = starts[1:]
-    ends[-1] = n
-    last_pos = perm[ends - 1]
     ublocks = sorted_arr[starts]
-    ukeys = keys[perm[starts]]
+    ukeys = keys[first_pos]
     ukeys_list = ukeys.tolist()
 
     # -- classify uniques from the directory bitmask column -----------------
@@ -820,170 +945,238 @@ def gather_segment(
     present = dslots >= 0
     masks = np.zeros(nu, dtype=np.int64)
     masks[present] = caches._dir_mask[dslots[present]]
-    bit = 1 << chiplet
-    nbit = np.int64(bit)
+    nbit = np.int64(1 << chiplet)
     res_u = (masks & nbit) != 0  # resident in requester's slice (invariant)
     others = masks & ~nbit
 
-    # -- eviction interleaving: victims + hit reclassification --------------
-    # Fills evict from the LRU front; a block classified as a hit whose
-    # first touch comes *after* its eviction would be re-missed by the
-    # scalar loop.  Replay the exact interleaving of touches and
-    # evictions at the unique level (touches in first-occurrence order;
-    # each overflowing fill pops the oldest surviving untouched original)
-    # and *reclassify* such blocks as the fill the scalar loop performs —
-    # the extra fill cascades naturally into further evictions.  Victims
-    # come out of the simulation in scalar eviction order; reclassified
-    # keys appear both as victims (their old residency) and as fills.
     maxlen = cap // nb
-    n_res0 = int(np.count_nonzero(res_u))
-    victims: List[int] = []
-    if len0 + (nu - n_res0) > maxlen:
-        if n_res0 == 0:
-            # No resident batch block can be disturbed: victims are
-            # exactly the E oldest entries.
-            E = len0 + nu - maxlen
-            if E > len0:
-                return None  # fills would evict the batch's own blocks
-            victims = list(islice(slot_map, E))
-        else:
-            # Only resident uniques interact with the eviction frontier:
-            # every other unique just advances it by one (once ``room``
-            # runs out).  Walk the residents alone — in first-touch
-            # order, tracking how many fills (including reclassified
-            # re-misses) precede each touch — instead of simulating all
-            # ``nu`` touches.  A resident whose depth the frontier has
-            # already passed was evicted before its first touch: the
-            # scalar loop re-misses it, so reclassify it as a fill.
-            # Touch order = ascending first_pos (unique values, so the
-            # unstable default sort is deterministic); a resident's
-            # fills-before count is its touch rank minus how many
-            # residents were touched before it.  ``n_res0`` is batch-
-            # bounded and small, so per-resident C-level ``list.index``
-            # scans beat building sorted numpy key arrays (every
-            # resident key is in the slice by the directory invariant).
-            kl = list(slot_map)
-            ord1 = np.argsort(first_pos)
-            rpos = res_u[ord1].nonzero()[0]
-            r_idx_o = ord1[rpos]
-            d_seq = [kl.index(k) for k in ukeys[r_idx_o].tolist()]
-            fb_seq = (rpos - np.arange(n_res0)).tolist()
-            room = maxlen - len0
-            touched: List[int] = []  # depths of successfully touched
-            tsorted: List[int] = []  # the same depths, kept sorted
-            reclass: List[int] = []
-            extra = 0  # reclassified re-misses so far (each is a fill)
-            for i in range(n_res0):
-                e = fb_seq[i] + extra - room
-                if e > 0:
-                    # Frontier position after ``e`` evictions: the e-th
-                    # untouched depth (touched entries are skipped).
-                    p = e
-                    while True:
-                        c = bisect_left(tsorted, p)
-                        if p == e + c:
-                            break
-                        p = e + c
-                    if p > len0:
-                        return None  # fills would evict batch blocks
-                    if d_seq[i] < p:
-                        reclass.append(int(r_idx_o[i]))
-                        extra += 1
-                        continue
-                touched.append(d_seq[i])
-                insort(tsorted, d_seq[i])
-            E = len0 + (nu - n_res0 + extra) - maxlen
-            if E > len0 - len(touched):
-                return None  # fills would evict the batch's own blocks
-            # Victims: the first E *untouched* insertion-order keys.
-            # The scan cutoff is the same fixpoint as the frontier (how
-            # deep E untouched entries reach past the touched ones);
-            # deleting the few touched positions back-to-front leaves
-            # exactly the E victims in order.
-            c = E
-            while True:
-                k2 = E + bisect_left(tsorted, c)
-                if k2 == c:
-                    break
-                c = k2
-            victims = kl[:c]
-            for d in reversed(tsorted):
-                if d < c:
-                    del victims[d]
-            if reclass:
-                # The scalar loop re-misses these: directory-wise their
-                # residency bit falls with the victims and the refill
-                # restores it, so the pre-batch ``others`` masks still
-                # classify the replacement fill (DRAM vs peer).
-                res_u[reclass] = False
+    cert = _certify_evictions(slot_map, len0, maxlen, nu, res_u, first_pos,
+                              ukeys)
+    if cert is None:
+        if not has_dups and bool((arr[1:] > arr[:-1]).all()):
+            return None  # sorted-distinct overflow: dram_fill_segment
+        uid = np.empty(n, dtype=np.int64)
+        uid[perm] = np.cumsum(newgrp) - 1
+        _replay_batch(machine, region, chiplet, my_node, maxlen, nb, keys,
+                      uid, first_pos, ublocks, ukeys, ukeys_list, dslots,
+                      others, t0, req_bytes, write, per_issue_ns, mlp, lats,
+                      counts, state)
+        return has_dups
+    victims, reclass = cert
+    if reclass:
+        # The scalar loop re-misses these: directory-wise their residency
+        # bit falls with the victims and the refill restores it, so the
+        # pre-batch ``others`` masks still classify the replacement fill
+        # (DRAM vs peer).
+        res_u[reclass] = False
 
+    # -- per-access classes: first touches as classified, repeats hit -------
     peer_u = ~res_u & (others != 0)
-    miss_u = ~res_u & ~peer_u
-
-    lat = machine.latency
-    l3 = lat.l3_hit
+    mi = np.flatnonzero(~res_u & ~peer_u)
+    pi = np.flatnonzero(peer_u)
+    code_u = np.zeros(nu, dtype=np.int8)
+    homes, code_u[mi] = _dram_homes(region, my_node, ublocks[mi])
+    holders, code_u[pi] = _peer_holders(machine, chiplet, others[pi])
+    code = np.zeros(n, dtype=np.int8)
+    code[first_pos] = code_u
+    inv = None
     if write:
-        # Miss rows have ``others == 0`` (no directory entry or no
-        # sharers), so the unmasked popcount already charges them zero.
-        inval_u = np.bitwise_count(others).astype(np.int64)
-        iv_ns = inval_u * lat.invalidate
+        # Fills without a peer holder have ``others == 0``, so the
+        # unmasked popcount already charges them zero.
+        inv = np.zeros(n, dtype=np.int64)
+        inv[first_pos] = np.bitwise_count(others)
+    _service_accesses(machine, chiplet, my_node, keys, code, inv,
+                      first_pos[mi], homes, first_pos[pi], holders, t0,
+                      req_bytes, per_issue_ns, mlp, lats, counts, state)
+
+    # -- LRU writeback: untouched originals keep their order; the batch's
+    # unique blocks re-enter at the tail in last-occurrence order (hits
+    # carry their slot along, fills take the victims' slots, sized nb
+    # already because the slice was uniformly nb-sized on entry, and only
+    # overflow into the free stack).
+    nv = len(victims)
+    vict_slots = np.fromiter(map(slot_map.pop, victims), dtype=np.int64,
+                             count=nv)
+    cache.evictions += nv
     n_res = int(np.count_nonzero(res_u))
     nfills = nu - n_res
+    cache_slot_u = np.empty(nu, dtype=np.int64)
+    if n_res:
+        cache_slot_u[res_u] = np.fromiter(
+            map(slot_map.pop, ukeys[res_u].tolist()), dtype=np.int64,
+            count=n_res)
+    if nfills <= nv:
+        cache_slot_u[~res_u] = vict_slots[:nfills]
+        cache._free.extend(vict_slots[nfills:].tolist())
+    else:
+        extra = cache._take_slots(nfills - nv)
+        cache._sizes[extra] = nb
+        cache_slot_u[~res_u] = np.concatenate(
+            (vict_slots, np.asarray(extra, dtype=np.int64)))
+    cache.used_bytes += (nfills - nv) * nb
+    cache._uniform_nb = nb
+    ends = np.empty(nu, dtype=np.int64)
+    ends[:-1] = starts[1:]
+    ends[-1] = n
+    tail = np.argsort(perm[ends - 1])  # last occurrences, unique values
+    slot_map.update(zip(ukeys[tail].tolist(), cache_slot_u[tail].tolist()))
 
-    # -- per-access latency / issue-step arrays via one class-code LUT ------
-    # Five service classes: 0 resident hit, 1/2 local/remote DRAM fill,
-    # 3/4 same/cross-socket peer fill.  One int code per unique, then
-    # ``lat/base/src`` become three LUT gathers instead of per-class
-    # masked stores.
-    code = np.zeros(nu, dtype=np.int64)
-    mi = np.flatnonzero(miss_u)
-    homes_mi = None
-    if mi.size:
-        if region.policy is MemPolicy.BIND:
-            code[mi] = 1 if region.home_node == my_node else 2
-        else:  # INTERLEAVE
-            homes_mi = ublocks[mi] % region.numa_nodes
-            code[mi] = np.where(homes_mi == my_node, 1, 2)
-    pi = np.flatnonzero(peer_u)
-    if pi.size:
-        socket_of = machine.topo.socket_of_chiplet_arr
-        my_socket = int(socket_of[chiplet])
-        o = others[pi]
-        same_cand = o & np.int64(caches._socket_mask[my_socket])
-        cand = np.where(same_cand != 0, same_cand, o)
-        low = cand & -cand
-        # Min-id holder == lowest set bit; log2 of an exact power of two
-        # is exact in float64.
-        holders_p = np.log2(low.astype(np.float64)).astype(np.int64)
-        same_p = socket_of[holders_p] == my_socket
-        code[pi] = np.where(same_p, 3, 4)
-    lut_lat = np.array((l3, lats[0], lats[1], lats[2], lats[3]))
-    lut_base = np.array((l3, lat.dram_local, lat.dram_remote,
-                         lat.fill_same_socket, lat.fill_cross_socket))
-    lat_u = lut_lat[code]
-    base_u = lut_base[code]
+    # Victims outside the batch; the reclassified uniques among the
+    # victims end resident again and are written back as batch blocks.
+    if reclass:
+        again = set(ukeys[reclass].tolist())
+        victims = [v for v in victims if v not in again]
+    _writeback_directory(caches, chiplet, ukeys, dslots, others, None,
+                         victims, write)
+    return has_dups
+
+
+def _replay_batch(machine, region, chiplet: int, my_node: int, maxlen: int,
+                  nb: int, keys: np.ndarray, uid: np.ndarray,
+                  first_pos: np.ndarray, ublocks: np.ndarray,
+                  ukeys: np.ndarray, ukeys_list: List[int],
+                  dslots: np.ndarray, others: np.ndarray, t0: float,
+                  req_bytes: int, write: bool, per_issue_ns: float,
+                  mlp: float, lats: Tuple[float, float, float, float],
+                  counts: List[int], state: list) -> None:
+    """Per-access classifier for batches that overflow the requester's slice.
+
+    One pass in batch order over the requester's LRU dict, mirroring the
+    cache half of ``Machine._scalar_span``: a hit refreshes recency, a
+    miss evicts the LRU front when the slice is full and inserts at the
+    tail.  Only the hit/miss outcome depends on the pass; the fill source
+    of a miss follows from pre-batch state alone, because within a batch
+    the requester's fills and evictions only ever change *its own*
+    directory bit and peers' slices change only through this batch's
+    write invalidations:
+
+    - a read miss fills from the min-id peer holder of the pre-batch
+      bitmask, or from the block's DRAM home when no peer holds it;
+    - a write invalidates every sharer on the block's first touch (hit or
+      fill), so that touch is classified like a read and every later
+      re-miss of the block — after a self-eviction — goes to DRAM.
+
+    Issue steps depend only on pure latency, so the per-access class
+    codes feed the shared service tail unchanged; mutation is exact by
+    construction (the pass *is* the scalar LRU walk), and the directory
+    follows in bulk from the final residency of each unique block.
+    """
+    caches = machine.caches
+    cache = caches.caches[chiplet]
+    lru = cache._slot
+    pop = lru.pop
+    n = keys.shape[0]
+    len0 = len(lru)
+    originals = list(lru)
+    room = maxlen - len0
+    fresh = cache._take_slots(min(room, n)) if room > 0 else []
+    if fresh:
+        cache._sizes[fresh] = nb
+    hits: List[int] = []
+    hit_append = hits.append
+    accesses = enumerate(keys.tolist())
+    if fresh:
+        # Room left: misses take fresh slots until the slice fills up.
+        for i, k in accesses:
+            s = pop(k, None)
+            if s is None:
+                lru[k] = fresh.pop()
+                if not fresh:
+                    break
+            else:
+                lru[k] = s
+                hit_append(i)
+    # Full slice: every miss evicts the LRU front and reuses its slot
+    # row, which already reads ``nb`` (uniformly sized slice).
+    for i, k in accesses:
+        s = pop(k, None)
+        if s is None:
+            for v in lru:
+                break
+            s = pop(v)
+        else:
+            hit_append(i)
+        lru[k] = s
+    if fresh:
+        cache._free.extend(fresh)  # room the batch did not need
+    n_miss = n - len(hits)
+    cache.evictions += n_miss - (len(lru) - len0)
+    cache.used_bytes = len(lru) * nb
+    cache._uniform_nb = nb
+
+    missed = np.ones(n, dtype=bool)
+    missed[hits] = False
+    miss_pos = np.flatnonzero(missed)
+    mu = uid[miss_pos]
+    mo = others[mu]
     if write:
-        # Resident hits and peer fills add their invalidation term here;
-        # fills have no sharers, so their ``+ 0.0`` is a bitwise no-op
-        # on the (positive) pure latencies.  Resident write hits charge
-        # the invalidation in ``base`` too (it is their service, not
-        # queueing); peer fills keep ``base`` at the pure fill path.
-        lat_u += iv_ns
-        ri = np.flatnonzero(res_u)
-        base_u[ri] = lat_u[ri]
-    src_u = _LUT_SRC[code]
+        mo = np.where(first_pos[mu] == miss_pos, mo, 0)
+    peer = mo != 0
+    code = np.zeros(n, dtype=np.int8)
+    peer_pos = miss_pos[peer]
+    holders, code[peer_pos] = _peer_holders(machine, chiplet, mo[peer])
+    dram = ~peer
+    dram_pos = miss_pos[dram]
+    homes, code[dram_pos] = _dram_homes(region, my_node, ublocks[mu[dram]])
+    inv = None
+    if write:
+        inv = np.zeros(n, dtype=np.int64)
+        inv[first_pos] = np.bitwise_count(others)
+    _service_accesses(machine, chiplet, my_node, keys, code, inv, dram_pos,
+                      homes, peer_pos, holders, t0, req_bytes, per_issue_ns,
+                      mlp, lats, counts, state)
 
-    # Duplicate replay: every repeat is a plain local hit (the first
-    # touch made — or kept — the requester a holder; after a write's
-    # first touch it is the *sole* holder, so repeats invalidate 0).
-    # Pre-filling with the hit values and scattering the uniques onto
-    # their first occurrences covers both the dup and dup-free cases.
-    lat_a = np.full(n, l3)
-    lat_a[first_pos] = lat_u
-    base_a = np.full(n, l3)
-    base_a[first_pos] = base_u
-    src_a = np.full(n, IDX_LOCAL_CHIPLET, dtype=np.int64)
-    src_a[first_pos] = src_u
+    resident = np.fromiter(map(lru.__contains__, ukeys_list), dtype=bool,
+                           count=len(ukeys_list))
+    # Originals outside the batch can only have left by eviction.
+    victims = [k for k in originals if k not in lru]
+    if victims:
+        batch = set(ukeys_list)
+        victims = [k for k in victims if k not in batch]
+    _writeback_directory(caches, chiplet, ukeys, dslots, others, resident,
+                         victims, write)
+
+
+def _service_accesses(machine, chiplet: int, my_node: int, keys: np.ndarray,
+                      code: np.ndarray, inv: Optional[np.ndarray],
+                      miss_pos: np.ndarray, homes: np.ndarray,
+                      peer_pos: np.ndarray, holders: np.ndarray, t0: float,
+                      req_bytes: int, per_issue_ns: float, mlp: float,
+                      lats: Tuple[float, float, float, float],
+                      counts: List[int], state: list) -> None:
+    """Time a classified batch: clocks, servers, fill chains, counters.
+
+    ``code`` holds one service class per access in batch order (0
+    resident hit, 1/2 local/remote DRAM fill, 3/4 same/cross-socket peer
+    fill); ``inv`` the per-access invalidation counts of a write batch
+    (``None`` for reads); ``miss_pos``/``homes`` and
+    ``peer_pos``/``holders`` the positions and serving node / chiplet of
+    the DRAM and peer fills.  Updates the shared span ``state``, the
+    per-source ``counts``, every touched server and the machine's
+    fill-latency chains — bit-identically to the scalar loop.  Touches no
+    cache or directory state.
+    """
+    n = code.shape[0]
+    lat = machine.latency
+    l3 = lat.l3_hit
+    # Three LUT gathers turn class codes into pure latency, base service
+    # and fill source.
+    lat_a = np.array((l3, *lats))[code]
+    base_a = np.array((l3, lat.dram_local, lat.dram_remote,
+                       lat.fill_same_socket, lat.fill_cross_socket))[code]
+    hit = code == 0
+    iv = None
+    if inv is not None:
+        # Hits charge their invalidations in ``base`` too (it is their
+        # service, not queueing); peer fills keep ``base`` at the pure
+        # fill path and add the term after the link delays, like the
+        # scalar loop.  DRAM fills have no sharers: their ``+ 0.0`` is a
+        # bitwise no-op on the (positive) pure latencies.
+        iv = inv * lat.invalidate
+        lat_a += iv
+        np.copyto(base_a, lat_a, where=hit)
+        iv[hit] = 0.0  # what remains is added after the link delays
+    src_a = _LUT_SRC[code]
 
     steps = lat_a / mlp  # overlap pure latency, not queue waits
     np.maximum(steps, per_issue_ns, out=steps)
@@ -995,17 +1188,14 @@ def gather_segment(
     t_end = float(tf[-1])
 
     # -- servers: arrivals merged per bank in batch order -------------------
-    # (Mutation starts here; every decline happens above.)
     s_chan = req_bytes / machine.channels.bytes_per_ns
     s_link = req_bytes / machine.links.bytes_per_ns
     s_xlink = req_bytes / machine.xlinks.bytes_per_ns
     dz = np.zeros((3, n))  # rows: bank (channel/holder link), requester
     d_srv, d_req, d_x = dz  # fabric link, cross-socket link delays
 
-    nonhit = np.zeros(n, dtype=bool)
-    nonhit[first_pos[miss_u]] = True
-    nonhit[first_pos[peer_u]] = True
-    svc_pos = np.flatnonzero(nonhit)
+    svc_pos = np.flatnonzero(~hit)
+    nfills = int(svc_pos.shape[0])
 
     # One serve_groups call covers every server class — DRAM channels,
     # peer fabric links, and cross-socket links — as rows of a single
@@ -1026,15 +1216,9 @@ def gather_segment(
     sid_CL = sid_C + machine.topo.total_chiplets
     g_pos: List[np.ndarray] = []
     g_sid: List[np.ndarray] = []
-    if mi.size:
-        miss_pos = first_pos[miss_u]
-        mk = keys[miss_pos]
-        if homes_mi is None:
-            homes = np.full(mi.size, region.home_node, dtype=np.int64)
-        else:
-            homes = homes_mi
+    if miss_pos.size:
         g_pos.append(miss_pos)
-        g_sid.append(homes * cps + mk % cps)
+        g_sid.append(homes * cps + keys[miss_pos] % cps)
         remote = homes != my_node
         if remote.any():
             rh = homes[remote]
@@ -1042,11 +1226,12 @@ def gather_segment(
             hi = np.maximum(rh, my_node)
             g_pos.append(miss_pos[remote])
             g_sid.append(sid_CL + lo * n_sockets + hi)
-    if pi.size:
-        peer_pos = first_pos[peer_u]
+    if peer_pos.size:
         g_pos.append(peer_pos)
-        g_sid.append(sid_C + holders_p)
-        psock = socket_of[holders_p]
+        g_sid.append(sid_C + holders)
+        socket_of = machine.topo.socket_of_chiplet_arr
+        my_socket = int(socket_of[chiplet])
+        psock = socket_of[holders]
         cross = psock != my_socket
         if cross.any():
             cs = psock[cross]
@@ -1054,7 +1239,7 @@ def gather_segment(
             hi = np.maximum(cs, my_socket)
             g_pos.append(peer_pos[cross])
             g_sid.append(sid_CL + lo * n_sockets + hi)
-    if svc_pos.size:
+    if nfills:
         # The requester's own link sees every non-hit access once.  It is
         # pairwise-distinct from every matrix row (``others`` masks out
         # the requester's bit), but folding it in as a row would inflate
@@ -1098,10 +1283,8 @@ def gather_segment(
     ns_a = base_a + d_srv
     ns_a += d_req
     ns_a += d_x
-    if write and pi.size:
-        inv_a = np.zeros(n)
-        inv_a[first_pos[pi]] = iv_ns[pi]
-        ns_a += inv_a
+    if iv is not None and peer_pos.size:
+        ns_a += iv
     ns_a += t
     fin = float(ns_a.max())
     state[0] = t_end
@@ -1109,138 +1292,116 @@ def gather_segment(
         state[1] = fin
     state[3] += n - nfills
     state[4] += nfills
-    if write:
-        state[2] += int(inval_u.sum())
+    if inv is not None:
+        state[2] += int(inv.sum())
 
-    # Per-source fill-latency chains and counters, in batch order: one
-    # stable sort groups accesses by source while preserving batch order
-    # inside each group (the order the scalar loop accumulates in); the
-    # chains of different sources are independent accumulators, so the
-    # group iteration order is free.
+    # Per-source fill-latency chains, in batch order: one seeded matrix
+    # row per source present holds that source's latencies at their
+    # batch positions and +0.0 elsewhere — a bitwise no-op on the
+    # non-negative accumulator — so one in-place row-wise cumsum replays
+    # every chain exactly as the scalar loop accumulates it.
     fl = machine._fill_lat
-    sorder = np.argsort(src_a, kind="stable")
-    ssrc = src_a[sorder]
-    slat = lat_a[sorder]
-    sb = [0, *(np.flatnonzero(ssrc[1:] != ssrc[:-1]) + 1).tolist(), n]
-    for gi in range(len(sb) - 1):
-        b0, b1 = sb[gi], sb[gi + 1]
-        s_idx = int(ssrc[b0])
-        k = b1 - b0
-        acc = np.empty(k + 1)
-        acc[0] = fl[s_idx]
-        acc[1:] = slat[b0:b1]
-        fl[s_idx] = float(np.cumsum(acc)[-1])
-        counts[s_idx] += k
+    per_src = np.bincount(src_a, minlength=len(fl)).tolist()
+    used = [s_idx for s_idx, k in enumerate(per_src) if k]
+    chains = np.zeros((len(used), n + 1))
+    for r, s_idx in enumerate(used):
+        chains[r, 0] = fl[s_idx]
+        np.copyto(chains[r, 1:], lat_a, where=src_a == s_idx)
+        counts[s_idx] += per_src[s_idx]
+    np.cumsum(chains, axis=1, out=chains)
+    for s_idx, end in zip(used, chains[:, n].tolist()):
+        fl[s_idx] = end
 
-    # -- cache + directory writeback ----------------------------------------
-    caches_l = caches.caches
+
+def _writeback_directory(caches, chiplet: int, ukeys: np.ndarray,
+                         dslots: np.ndarray, others: np.ndarray,
+                         resident: Optional[np.ndarray],
+                         victims: List[int], write: bool) -> None:
+    """Bulk directory update for one serviced batch.
+
+    ``ukeys``/``dslots``/``others`` describe the batch's unique blocks
+    (pre-batch directory rows, ``-1`` when absent, and peer-holder
+    masks); ``resident`` says which of them end the batch in the
+    requester's slice (``None``: all of them); ``victims`` lists the
+    evicted keys *outside* the batch.  The final state follows from
+    those alone, whatever order the scalar loop set and cleared bits in:
+
+    - a write drops every peer copy of each written block (one bulk
+      :meth:`ChipletCache.drop_run` per peer slice), leaving the
+      requester the sole holder if it still holds the block;
+    - a read keeps the peer bits and sets the requester's bit iff the
+      block ended resident;
+    - an outside victim loses the requester's bit.
+
+    Entries whose mask empties release their rows, which are recycled
+    for the batch's new entries (one mask prefetch, no per-key scalar
+    reads or writes of the mask column).
+    """
+    dir_slot = caches._dir_slot
     mask_col = caches._dir_mask
-    recycled = None  # victims' directory rows reusable for the miss fills
-    nv = len(victims)
-    vict_slots = None
-    if victims:
-        vict_slots = np.fromiter(map(slot_map.pop, victims),
-                                 dtype=np.int64, count=nv)
-        cache.used_bytes -= nv * nb
-        cache.evictions += nv
-        # Pop every victim's directory row in one C pass.  In the steady
-        # state no peer holds any victim, so each row already carries this
-        # chiplet's singleton mask — exactly what the miss fills below
-        # mint — and is recycled wholesale.  Shared victims get their row
-        # back with this chiplet's bit cleared.
-        vslots = np.fromiter(map(dir_slot.pop, victims), dtype=np.int64,
-                             count=nv)
-        if not np.bitwise_and(mask_col[vslots], ~nbit).any():
-            recycled = vslots
-        else:
-            rec: List[int] = []
-            for v, sl, m in zip(victims, vslots.tolist(),
-                                mask_col[vslots].tolist()):
-                m &= ~bit
-                if m:
-                    mask_col[sl] = m
-                    dir_slot[v] = sl
-                else:
-                    rec.append(sl)  # mask is already this chiplet's bit
-            recycled = np.asarray(rec, dtype=np.int64)
+    nbit = np.int64(1 << chiplet)
+    res_bit = nbit if resident is None else np.where(resident, nbit, 0)
     if write:
-        # Invalidation drops on peer slices (hit-with-sharers and peer
-        # fills); the survivors' masks collapse to this chiplet below.
-        for j in np.flatnonzero(inval_u > 0).tolist():
-            key = ukeys_list[j]
-            m = int(others[j])
-            while m:
-                lowb = m & -m
-                caches_l[lowb.bit_length() - 1].drop(key)
-                m ^= lowb
-    # Directory slot allocation may grow the mask column: take first,
-    # then fetch the (possibly new) column for every mask write.
-    n_mi = int(mi.size)
-    if n_mi:
-        if recycled is not None:
-            r = recycled.size
-            if r >= n_mi:
-                if r > n_mi:
-                    tail_r = recycled[n_mi:]
-                    mask_col[tail_r] = 0
-                    caches._dir_free.extend(tail_r.tolist())
-                mi_slots = recycled[:n_mi].tolist()
-            else:
-                extra = caches._dir_take_slots(n_mi - r)
-                mask_col = caches._dir_mask
-                mask_col[extra] = nbit
-                mi_slots = recycled.tolist() + extra
+        dropped = np.flatnonzero(others)
+        if dropped.size:
+            # (peer, key) pairs grouped peer-major: one drop_run per peer.
+            n_ch = len(caches.caches)
+            held = ((others[dropped, None] >> _arange(n_ch)) & 1).T != 0
+            peer_keys = ukeys[dropped][np.nonzero(held)[1]].tolist()
+            b = 0
+            for c, k in enumerate(held.sum(axis=1).tolist()):
+                if k:
+                    caches.caches[c].drop_run(peer_keys[b:b + k])
+                    b += k
+        new = np.broadcast_to(res_bit, others.shape)
+    else:
+        new = others | res_bit
+    freed: List[np.ndarray] = []
+    gone_keys: List[int] = []
+    if victims:
+        vslots = np.fromiter(map(dir_slot.__getitem__, victims),
+                             dtype=np.int64, count=len(victims))
+        vmask = mask_col[vslots] & ~nbit
+        gone = vmask == 0
+        if gone.all():
+            # Steady state: no peer shares any victim.
+            freed.append(vslots)
+            gone_keys = victims
         else:
-            mi_slots = caches._dir_take_slots(n_mi)
-            mask_col = caches._dir_mask
-            mask_col[mi_slots] = nbit
-        dir_slot.update(zip(ukeys[mi].tolist(), mi_slots))
-    elif recycled is not None and recycled.size:
-        mask_col[recycled] = 0
-        caches._dir_free.extend(recycled.tolist())
-    if pi.size:
-        if write:
-            mask_col[dslots[pi]] = nbit
+            keep = ~gone
+            mask_col[vslots[keep]] = vmask[keep]
+            freed.append(vslots[gone])
+            gone_keys = [victims[j] for j in np.flatnonzero(gone).tolist()]
+    present = dslots >= 0
+    live = new != 0
+    upd = present & live
+    mask_col[dslots[upd]] = new[upd]
+    drop_u = present & ~live
+    if drop_u.any():
+        freed.append(dslots[drop_u])
+        gone_keys = gone_keys + ukeys[drop_u].tolist()
+    if gone_keys:
+        deque(map(dir_slot.__delitem__, gone_keys), maxlen=0)
+    rows = freed[0] if len(freed) == 1 else (
+        np.concatenate(freed) if freed else np.empty(0, dtype=np.int64))
+    add = ~present & live  # never-present blocks have no peer bits
+    n_add = int(np.count_nonzero(add))
+    if n_add:
+        r = rows.shape[0]
+        if r >= n_add:
+            new_rows = rows[:n_add]
+            rows = rows[n_add:]
         else:
-            mask_col[dslots[pi]] |= nbit
-    if write and n_res:
-        hs = res_u & (inval_u > 0)
-        if hs.any():
-            mask_col[dslots[hs]] = nbit
-
-    # LRU writeback: untouched originals keep their order; the batch's
-    # unique blocks re-enter at the tail in last-occurrence order (hits
-    # carry their slot along, fills take fresh slots sized nb).
-    cache_slot_u = np.empty(nu, dtype=np.int64)
-    if n_res:
-        for j in np.flatnonzero(res_u).tolist():
-            cache_slot_u[j] = slot_map.pop(ukeys_list[j])
-    if nfills:
-        # Fills reuse the victims' cache slots directly (slot identity
-        # is unobservable; victim rows already read ``nb`` because the
-        # slice was uniformly ``nb``-sized on entry) and only overflow
-        # into the free stack.
-        if nfills <= nv:
-            cache_slot_u[~res_u] = vict_slots[:nfills]
-            if nfills < nv:
-                cache._free.extend(vict_slots[nfills:].tolist())
-        else:
-            extra = cache._take_slots(nfills - nv)
-            cache._sizes[extra] = nb
-            if nv:
-                fill_slots = np.empty(nfills, dtype=np.int64)
-                fill_slots[:nv] = vict_slots
-                fill_slots[nv:] = extra
-                cache_slot_u[~res_u] = fill_slots
-            else:
-                cache_slot_u[~res_u] = extra
-        cache.used_bytes += nfills * nb
-    elif vict_slots is not None:
-        cache._free.extend(vict_slots.tolist())
-    cache._uniform_nb = nb
-    tail = np.argsort(last_pos)  # unique values: unstable is deterministic
-    slot_map.update(zip(ukeys[tail].tolist(), cache_slot_u[tail].tolist()))
-    return has_dups
+            new_rows = np.concatenate(
+                (rows, np.asarray(caches._dir_take_slots(n_add - r),
+                                  dtype=np.int64)))
+            rows = rows[:0]
+            mask_col = caches._dir_mask  # the take may grow the column
+        mask_col[new_rows] = nbit
+        dir_slot.update(zip(ukeys[add].tolist(), new_rows.tolist()))
+    if rows.shape[0]:
+        mask_col[rows] = 0
+        caches._dir_free.extend(rows.tolist())
 
 
 def local_hit_segment(

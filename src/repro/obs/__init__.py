@@ -3,8 +3,8 @@
 Subsystems (PR 5):
 
 - :mod:`repro.obs.bus`       — event bus with a null-sink fast path
-- :mod:`repro.obs.trace`     — task/migration timeline (ex runtime.trace)
-- :mod:`repro.obs.profiler`  — worker snapshots (ex runtime.profiler)
+- :mod:`repro.obs.trace`     — task/migration timeline
+- :mod:`repro.obs.profiler`  — worker snapshots
 - :mod:`repro.obs.sampler`   — virtual-time interval metric series
 - :mod:`repro.obs.decisions` — Alg. 1 policy decision log
 - :mod:`repro.obs.selfprof`  — wall-clock kernel-path self-profiler

@@ -1,8 +1,7 @@
 """Performance profiling utilities (paper section 4.5).
 
-Historically ``repro.runtime.profiler``; that path re-exports this
-module.  The virtual-time *interval* sampler built on the same signals
-lives in :mod:`repro.obs.sampler`.
+The virtual-time *interval* sampler built on the same signals lives in
+:mod:`repro.obs.sampler`.
 
 The low-level signal — per-worker fill counters classified by source — is
 collected inline by the workers (zero extra simulation cost, mirroring the

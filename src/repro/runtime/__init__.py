@@ -12,9 +12,10 @@ chiplet machine (:mod:`repro.hw`).  The package provides:
   (:mod:`repro.runtime.policy`, Algorithms 1 and 2 of the paper);
 - the adaptive controller mapping approaches to concrete policies
   (:mod:`repro.runtime.controller`);
-- the profiler (:mod:`repro.runtime.profiler`), NUMA-aware memory manager
-  (:mod:`repro.runtime.memory_manager`) and synchronization primitives
-  (:mod:`repro.runtime.sync`);
+- the NUMA-aware memory manager (:mod:`repro.runtime.memory_manager`)
+  and synchronization primitives (:mod:`repro.runtime.sync`); profiling
+  and tracing live in :mod:`repro.obs` (:mod:`repro.obs.profiler`,
+  :mod:`repro.obs.trace`);
 - the assembled runtime and paper-style API
   (:mod:`repro.runtime.runtime`, :mod:`repro.runtime.api`).
 """

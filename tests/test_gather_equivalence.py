@@ -19,52 +19,42 @@ Scenario shapes pin the gather-specific classes: raw gups-style streams
 (unsorted, occasional repeats), duplicate-heavy batches drawn from a
 tiny block pool, reverse-sorted batches, and mixed read/write sequences
 interleaved across cores so directory state carries between batches.
+
+The *overflow* regime — batches whose fills evict their own blocks, the
+shape every DSE GUPS batch takes on 8–64-block slices — is serviced by
+the per-access LRU replay.  The tiny-slice machines (the 8-block test
+machine and a DSE geometry built at scale 128) put every random batch
+there; dedicated cases pin re-misses after self-eviction (to the peer
+holder on reads, to DRAM after a write's first-touch invalidation) and
+assert that no block of those batches reaches the scalar loop.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.hw.machine as machine_mod
-from repro.hw.machine import milan, sapphire_rapids, small_test_machine
+from repro.bench.dse import DSE_MACHINE_SCALE
+from repro.hw.machine import (
+    MachineGeometry,
+    milan,
+    sapphire_rapids,
+    small_test_machine,
+)
+from repro.hw.counters import SOURCE_INDEX, FillSource
 from repro.hw.memory import MemPolicy
+from repro.obs.selfprof import KernelProfiler
+from tests.twins import assert_same_state, scalar_batch
 
 MACHINES = {
     "small_test_machine": small_test_machine,
     "milan32": lambda: milan(scale=32),
     "sapphire_rapids32": lambda: sapphire_rapids(scale=32),
+    # 2 sockets x 2 chiplets, 4 MiB / 128 = 8 blocks of 4 KiB per slice.
+    "dse_tiny128": lambda: MachineGeometry(
+        chiplets_per_socket=2, cores_per_chiplet=2, l3_mib_per_chiplet=4,
+        mem_channels_per_socket=4).build(scale=DSE_MACHINE_SCALE),
 }
-
-
-def scalar_batch(machine, core, region, blocks, now, **kw):
-    """Service a batch with the vector kernels disabled (reference path)."""
-    saved = machine_mod.VECTOR_MIN
-    machine_mod.VECTOR_MIN = 1 << 60
-    try:
-        return machine.access_batch(core, region, list(blocks), now, **kw)
-    finally:
-        machine_mod.VECTOR_MIN = saved
-
-
-def machine_state(m):
-    """Everything the equivalence contract covers, as comparable values."""
-    return {
-        "directory": {k: frozenset(v) for k, v in m.caches.directory.items()},
-        "lru": [list(c._lru.items()) for c in m.caches.caches],
-        "cache_stats": [
-            (c.hits, c.misses, c.evictions, c.used_bytes) for c in m.caches.caches
-        ],
-        "bandwidth": m.bandwidth_stats(),
-        "counters": [m.counters.core(c).v for c in range(m.topo.total_cores)],
-        "total_accesses": m.total_accesses,
-    }
-
-
-def assert_same_state(m_vec, m_ref):
-    sv, sr = machine_state(m_vec), machine_state(m_ref)
-    for k in sv:
-        assert sv[k] == sr[k], f"state mismatch in {k}"
-    assert m_vec.caches.check_directory_consistent()
+TINY = {k: MACHINES[k] for k in ("small_test_machine", "dse_tiny128")}
 
 
 def _pair(mk, policy=MemPolicy.INTERLEAVE, blocks=96):
@@ -162,6 +152,137 @@ def test_gather_peer_fills_after_cross_core_warm(mk):
     reread = rng.permutation(np.arange(r_vec.n_blocks, dtype=np.int64))
     _drive(m_vec, r_vec, m_ref, r_ref,
            [(0, warm, False), (other, reread, False)])
+
+
+# --- overflow regime: fills evict the batch's own blocks -------------------
+
+def _slice_blocks(m):
+    return m.caches.caches[0].capacity_bytes // m.block_bytes
+
+
+def _cores_on_distinct_chiplets(m, k):
+    cores, seen = [], set()
+    for core, ch in enumerate(m._chiplet_of_core):
+        if ch not in seen:
+            seen.add(ch)
+            cores.append(core)
+    return cores[:k]
+
+
+def _overflow_drive(mk, policy, warm, batches, blocks):
+    """Warm both twins through the scalar path, then drive ``batches``
+    with a profiler on the vector twin: bit-identity, and every access of
+    the overflowing batches serviced without the scalar loop."""
+    m_vec, r_vec, m_ref, r_ref = _pair(mk, policy, blocks=blocks)
+    now = 0.0
+    for core, blks in warm:
+        scalar_batch(m_vec, core, r_vec, blks, now)
+        now += scalar_batch(m_ref, core, r_ref, blks, now).ns
+    prof = KernelProfiler()
+    m_vec.profiler = prof
+    results = []
+    for core, blks, write in batches:
+        res_v = m_vec.access_batch(core, r_vec,
+                                   np.asarray(blks, dtype=np.int64),
+                                   now=now, write=write, mlp=4.0)
+        res_s = scalar_batch(m_ref, core, r_ref, blks, now, write=write,
+                             mlp=4.0)
+        assert (res_v.ns, res_v.finish, res_v.fill_counts,
+                res_v.invalidations) == (res_s.ns, res_s.finish,
+                                         res_s.fill_counts,
+                                         res_s.invalidations)
+        now += res_v.ns
+        results.append(res_v)
+    assert_same_state(m_vec, m_ref)
+    assert prof.accesses["scalar"] == 0
+    assert (prof.accesses["vec_gather"] + prof.accesses["vec_dup_replay"]
+            == sum(len(b) for _, b, _ in batches))
+    return m_vec, r_vec, results
+
+
+@pytest.mark.parametrize("policy", [MemPolicy.BIND, MemPolicy.INTERLEAVE])
+@pytest.mark.parametrize("mk", TINY.values(), ids=TINY.keys())
+def test_overflow_read_remisses_to_peer_after_self_eviction(mk, policy):
+    """A read batch evicts its own early blocks and re-reads them: each
+    re-miss fills from the peer that still holds the block."""
+    m = mk()
+    c = _slice_blocks(m)
+    holder, reader = _cores_on_distinct_chiplets(m, 2)
+    rng = np.random.default_rng(5)
+    first = rng.permutation(c)
+    stream = rng.permutation(np.arange(c, 5 * c))
+    batch = np.concatenate([first, stream, first[::-1]])
+    _, _, (res,) = _overflow_drive(mk, policy, [(holder, list(range(c)))],
+                                   [(reader, batch, False)], blocks=6 * c)
+    # First touches and re-reads of ``first`` both fill from the holder.
+    fills = res.fill_counts
+    assert (fills[SOURCE_INDEX[FillSource.REMOTE_CHIPLET]]
+            + fills[SOURCE_INDEX[FillSource.REMOTE_NUMA_CHIPLET]]) == 2 * c
+
+
+@pytest.mark.parametrize("policy", [MemPolicy.BIND, MemPolicy.INTERLEAVE])
+@pytest.mark.parametrize("mk", TINY.values(), ids=TINY.keys())
+def test_overflow_write_invalidates_then_remisses_to_dram(mk, policy):
+    """Write first touches invalidate both sharers; after self-eviction the
+    same blocks re-miss with no sharer left, i.e. to DRAM."""
+    m = mk()
+    c = _slice_blocks(m)
+    a, b, writer = _cores_on_distinct_chiplets(m, 3)
+    shared = list(range(c // 2))
+    rng = np.random.default_rng(9)
+    batch = np.concatenate([rng.permutation(shared),
+                            rng.permutation(np.arange(c, 5 * c)),
+                            rng.permutation(shared)])
+    m_vec, r_vec, (res,) = _overflow_drive(
+        mk, policy, [(a, shared), (b, shared)], [(writer, batch, True)],
+        blocks=6 * c)
+    k = len(shared)
+    assert res.invalidations == 2 * k
+    fills = res.fill_counts
+    assert (fills[SOURCE_INDEX[FillSource.REMOTE_CHIPLET]]
+            + fills[SOURCE_INDEX[FillSource.REMOTE_NUMA_CHIPLET]]) == k
+    assert (fills[SOURCE_INDEX[FillSource.DRAM_LOCAL]]
+            + fills[SOURCE_INDEX[FillSource.DRAM_REMOTE]]) == 4 * c + k
+    directory = m_vec.caches.directory
+    mine = {m_vec._chiplet_of_core[writer]}
+    assert all(directory[r_vec.block_key(blk)] == mine for blk in shared)
+
+
+@pytest.mark.parametrize("policy", [MemPolicy.BIND, MemPolicy.INTERLEAVE])
+@pytest.mark.parametrize("mk", TINY.values(), ids=TINY.keys())
+def test_overflow_duplicate_heavy_batches_across_cores(mk, policy):
+    """Repeat-heavy read/write batches from every chiplet in turn, each
+    overflowing its slice, with directory state carried between them."""
+    m = mk()
+    c = _slice_blocks(m)
+    cores = _cores_on_distinct_chiplets(m, 4)
+    rng = np.random.default_rng(13)
+    pool = rng.permutation(6 * c)[: 3 * c]
+    batches = [(cores[i % len(cores)],
+                pool[rng.integers(0, pool.size, size=max(8 * c, 64))],
+                bool(i % 2))
+               for i in range(8)]
+    _overflow_drive(mk, policy, [], batches, blocks=6 * c)
+
+
+def test_dse_gups_cell_stays_off_the_scalar_path():
+    """A DSE GUPS cell: every update batch overflows the 64-block slice
+    and must be serviced by the replay, never by the scalar loop."""
+    from repro.bench.dse import _geometry_of, dse_cells
+    from repro.bench.experiments import _strategy_for
+    from repro.workloads.gups import run_gups
+
+    cell = next(c for c in dse_cells(6) if c.params["workload"] == "gups")
+    p = cell.params
+    m = _geometry_of(cell).build(scale=DSE_MACHINE_SCALE)
+    prof = KernelProfiler()
+    m.profiler = prof
+    run_gups(m, _strategy_for(cell.strategy, m), cell.cores,
+             p["table_bytes"], updates_per_worker=p["updates_per_worker"],
+             seed=cell.seed)
+    assert prof.accesses["scalar"] == 0
+    assert (prof.accesses["vec_gather"] + prof.accesses["vec_dup_replay"]
+            == cell.cores * p["updates_per_worker"])
 
 
 # --- memory-footprint smoke: SoA state must not exceed the dict layout ---

@@ -25,43 +25,13 @@ from repro.hw.memory import MemPolicy
 from repro.hw.topology import Topology
 
 from repro.hw.machine import milan, sapphire_rapids, small_test_machine
+from tests.twins import assert_same_state, scalar_batch
 
 MACHINES = {
     "small_test_machine": small_test_machine,
     "milan32": lambda: milan(scale=32),
     "sapphire_rapids32": lambda: sapphire_rapids(scale=32),
 }
-
-
-def scalar_batch(machine, core, region, blocks, now, **kw):
-    """Service a batch with the vector kernels disabled (reference path)."""
-    saved = machine_mod.VECTOR_MIN
-    machine_mod.VECTOR_MIN = 1 << 60
-    try:
-        return machine.access_batch(core, region, list(blocks), now, **kw)
-    finally:
-        machine_mod.VECTOR_MIN = saved
-
-
-def machine_state(m):
-    """Everything the equivalence contract covers, as comparable values."""
-    return {
-        "directory": {k: frozenset(v) for k, v in m.caches.directory.items()},
-        "lru": [list(c._lru.items()) for c in m.caches.caches],
-        "cache_stats": [
-            (c.hits, c.misses, c.evictions, c.used_bytes) for c in m.caches.caches
-        ],
-        "bandwidth": m.bandwidth_stats(),
-        "counters": [m.counters.core(c).v for c in range(m.topo.total_cores)],
-        "total_accesses": m.total_accesses,
-    }
-
-
-def assert_same_state(m_vec, m_ref):
-    sv, sr = machine_state(m_vec), machine_state(m_ref)
-    for k in sv:
-        assert sv[k] == sr[k], f"state mismatch in {k}"
-    assert m_vec.caches.check_directory_consistent()
 
 
 def _warm(machine, region, core, blocks, now=0.0):

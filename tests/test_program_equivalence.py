@@ -32,6 +32,7 @@ from repro.runtime.ops import Compute, SimLock
 from repro.runtime.policy import CharmStrategy
 from repro.runtime.program import OpProgram
 from repro.runtime.runtime import Runtime
+from tests.twins import assert_same_state
 
 MACHINES = {
     "small_test_machine": small_test_machine,
@@ -40,35 +41,6 @@ MACHINES = {
 }
 
 SEED = 7
-
-
-def server_state(m):
-    """free_at / busy_ns / wait_ns / requests of every bandwidth server."""
-    rows = []
-    for socket_servers in m.channels._servers:
-        for s in socket_servers:
-            rows.append((s.free_at, s.busy_ns, s.wait_ns, s.requests))
-    for s in m.links._servers:
-        rows.append((s.free_at, s.busy_ns, s.wait_ns, s.requests))
-    for pair in sorted(m.xlinks._servers):
-        s = m.xlinks._servers[pair]
-        rows.append((s.free_at, s.busy_ns, s.wait_ns, s.requests))
-    return rows
-
-
-def machine_state(m):
-    """Everything the equivalence contract covers, as comparable values."""
-    return {
-        "directory": {k: frozenset(v) for k, v in m.caches.directory.items()},
-        "lru": [list(c._lru.items()) for c in m.caches.caches],
-        "cache_stats": [
-            (c.hits, c.misses, c.evictions, c.used_bytes) for c in m.caches.caches
-        ],
-        "servers": server_state(m),
-        "counters": [m.counters.core(c).v for c in range(m.topo.total_cores)],
-        "fill_latency": m.fill_latency_histogram(),
-        "total_accesses": m.total_accesses,
-    }
 
 
 def run_twin(run_fn):
@@ -93,10 +65,7 @@ def run_twin(run_fn):
     assert rep_p.per_worker_busy_ns == rep_g.per_worker_busy_ns
     assert rep_p.total_accesses == rep_g.total_accesses
     assert rep_p.fill_totals == rep_g.fill_totals
-    sp, sg = machine_state(m_p), machine_state(m_g)
-    for k in sp:
-        assert sp[k] == sg[k], f"machine state mismatch in {k}"
-    assert m_p.caches.check_directory_consistent()
+    assert_same_state(m_p, m_g)
     if rt_p is not None and rt_g is not None:
         assert rt_p.loop.steps == rt_g.loop.steps, "event-loop step count diverged"
         assert rt_p.loop.now == rt_g.loop.now

@@ -251,3 +251,67 @@ def test_progress_lines_carry_cost_model_eta(cache):
     lines2 = []
     sweep.run_cells(cells, jobs=1, progress=lines2.append)
     assert not any("eta ~" in line for line in lines2)
+
+
+class _HintOnlyModel:
+    """An uncalibrated cost model whose bare work hints put almost all the
+    estimated work in one cell — which longest-job-first then runs first."""
+
+    calibrated = False
+
+    @classmethod
+    def from_store(cls, store):
+        return cls()
+
+    def estimate(self, cell):
+        return 1000.0 if cell.cores == 5 else 1.0
+
+
+def _one_second_cells(monkeypatch):
+    """Inline executor stub on a fake clock: every cell takes 1 s."""
+    clock = [0.0]
+
+    def execute(cell):
+        clock[0] += 1.0
+        return {"metric": float(cell.cores)}
+
+    monkeypatch.setattr(sweep, "execute_cell", execute)
+    monkeypatch.setattr(sweep, "time",
+                        type("FakeTime", (), {
+                            "perf_counter": staticmethod(lambda: clock[0])}))
+
+
+def test_uncalibrated_eta_uses_observed_cell_rate(cache, monkeypatch):
+    _one_second_cells(monkeypatch)
+    monkeypatch.setattr(sweep, "CostModel", _HintOnlyModel)
+    cells = [_cell(cores=c) for c in (1, 2, 3, 4, 5)]
+    lines = []
+    sweep.run_cells(cells, jobs=1, use_cache=False, progress=lines.append)
+    # The 1000-unit cell ran first; a hint-share ETA would claim 0.0s left
+    # with four one-second cells to go.
+    assert "c5" in lines[0]
+    assert [line.rsplit(", eta ~", 1)[-1] for line in lines[:-1]] == [
+        "4.0s", "3.0s", "2.0s", "1.0s"]
+    assert "eta ~" not in lines[-1]
+
+
+def test_no_cache_still_calibrates_from_existing_store(cache, monkeypatch):
+    _one_second_cells(monkeypatch)
+    calls = []
+    real = sweep.CostModel.from_store.__func__
+
+    def spy(cls, store):
+        calls.append(store)
+        return real(cls, store)
+
+    monkeypatch.setattr(sweep.CostModel, "from_store", classmethod(spy))
+    sweep.run_cells([_cell(cores=1)], jobs=1, use_cache=False)
+    assert not calls and not cache.exists()  # no store: nothing to read
+    sweep.run_cells([_cell(cores=2)], jobs=1)  # records a wall sample
+    calls.clear()
+    lines = []
+    sweep.run_cells([_cell(cores=c) for c in (3, 4, 5)], jobs=1,
+                    use_cache=False, progress=lines.append)
+    assert len(calls) == 1
+    # the calibrated model's estimated seconds drive the ETA
+    assert all(", eta ~" in line for line in lines[:-1])

@@ -7,7 +7,7 @@ from repro.hw.machine import milan, small_test_machine
 from repro.runtime.ops import AccessBatch, Compute, YieldPoint
 from repro.runtime.policy import CharmStrategy, StaticSpreadStrategy
 from repro.runtime.runtime import Runtime
-from repro.runtime.trace import EventKind, Tracer
+from repro.obs.trace import EventKind, Tracer
 
 
 def _traced_run(workers=2, rounds=3):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.hw.machine import Machine
-from repro.runtime.queues import flat_steal_order, hierarchical_steal_order
+from repro.runtime.queues import shuffle_tiers
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import Runtime
@@ -180,11 +180,9 @@ class SchedulingStrategy:
         return runtime.rr_next_worker()
 
     def steal_order(self, worker: "Worker", runtime: "Runtime") -> List[int]:
-        if self.hierarchical_stealing:
-            return hierarchical_steal_order(
-                runtime.machine.topo, worker.core, runtime.worker_cores(), worker.rng
-            )
-        return flat_steal_order(worker.worker_id, len(runtime.workers), worker.rng)
+        """Victim worker ids for one steal sweep: the worker's cached tiers
+        (:meth:`Worker.steal_plan`), each shuffled for load spreading."""
+        return shuffle_tiers(worker.steal_plan().tiers, worker.rng)
 
     def on_tick(self, worker: "Worker", runtime: "Runtime") -> None:
         """Periodic adaptation hook, called at yield points and task ends."""

@@ -16,6 +16,7 @@ from repro.hw.machine import Machine
 from repro.hw.memory import MemPolicy, Region
 from repro.obs.context import attach_if_active
 from repro.runtime.policy import SchedulingStrategy
+from repro.runtime.queues import StealableCount
 from repro.runtime.sync import Barrier, Future
 from repro.runtime.task import Task, TaskState
 from repro.runtime.worker import Worker
@@ -126,6 +127,8 @@ class Runtime:
 
         self.loop = EventLoop()
         self.loop.max_steps = max_steps
+        #: queued unpinned tasks across every worker's queue
+        self.stealable = StealableCount()
         self.workers: List[Worker] = []
         self.core_ledger: Dict[int, int] = {}  # core -> worker id
         for wid in range(n_workers):
@@ -273,6 +276,12 @@ class Runtime:
         for w in self.workers:
             self.loop.add(w)
         wall_ns = self.loop.run()
+        if self.outstanding == 0 and self.stealable.n:
+            # Idle sweeps skip the victim walk while the count reads zero,
+            # so a drifted count would silently drop real steals.
+            raise SimulationError(
+                f"stealable-task count is {self.stealable.n} after every task completed"
+            )
         return self._report(wall_ns)
 
     def _report(self, wall_ns: float) -> RunReport:
@@ -431,6 +440,9 @@ class Runtime:
         del self.core_ledger[worker.core]
         self.core_ledger[target_core] = worker.worker_id
         worker.core = target_core
+        # Steal tiers follow worker cores: drop every worker's cached plan.
+        for w in self.workers:
+            w._steal_plan = None
         # Worker placement changed: memoized barrier spans are stale-keyed.
         self.machine.invalidate_sync_cache()
         # Alg. 2 lines 13-14: bind the worker's memory policy to the new node.

@@ -38,7 +38,7 @@ from repro.runtime.ops import (
     WaitFuture,
     YieldPoint,
 )
-from repro.runtime.queues import LocalQueue
+from repro.runtime.queues import LocalQueue, StealPlan, skip_shuffles, steal_tiers
 from repro.runtime.task import Task, TaskState
 from repro.sim.engine import Actor, EventLoop, StepOutcome
 
@@ -53,7 +53,7 @@ class Worker(Actor):
         "worker_id", "core", "runtime", "rng", "queue", "current",
         "blocked_current", "spread_rate", "policy_time", "fills",
         "_fill_mark", "_dram_mark", "mem_node", "busy_ns", "tasks_done",
-        "steal_attempts", "steals_ok", "migrations", "switches",
+        "steal_attempts", "steals_ok", "migrations", "switches", "_steal_plan",
     )
 
     def __init__(self, worker_id: int, core: int, runtime: "Runtime", rng):
@@ -62,7 +62,8 @@ class Worker(Actor):
         self.core = core
         self.runtime = runtime
         self.rng = rng
-        self.queue = LocalQueue()
+        self.queue = LocalQueue(runtime.stealable)
+        self._steal_plan: Optional[StealPlan] = None
         self.current: Optional[Task] = None
         self.blocked_current = False  # blocking_sync: current task waits while worker parks
 
@@ -121,9 +122,41 @@ class Worker(Actor):
 
     # -- Task acquisition --------------------------------------------------------
 
+    def steal_plan(self) -> StealPlan:
+        """This worker's victim tiers, built on first use and cached until
+        :meth:`Runtime.request_migration` moves any worker to another core."""
+        plan = self._steal_plan
+        if plan is None:
+            rt = self.runtime
+            topo = rt.machine.topo
+            plan = self._steal_plan = StealPlan(steal_tiers(
+                self.worker_id, rt.worker_cores(), topo.chiplet_of_core_table,
+                topo.numa_of_core_table, rt.strategy.hierarchical_stealing,
+            ))
+        return plan
+
     def _try_steal(self) -> Optional[Task]:
         rt = self.runtime
         strategy = rt.strategy
+        if not rt.stealable.n:
+            # No queue holds an unpinned task, so every probe of the sweep
+            # would miss.  Its virtual cost is paid exactly as the walk
+            # would pay it: the tier shuffles' random draws, then one probe
+            # charge per victim added in sequence (n adds of p need not
+            # equal one add of n*p).
+            plan = self.steal_plan()
+            skip_shuffles(plan, self.rng)
+            probe = strategy.steal_probe_ns
+            if probe:
+                clock, busy = self.clock, self.busy_ns
+                for _ in range(plan.victims):
+                    clock += probe
+                    busy += probe
+                self.clock, self.busy_ns = clock, busy
+            self.steal_attempts += plan.victims
+            return None
+        # Some victim holds an unpinned task (the own queue is empty, or
+        # pop_local would have served it), so this sweep succeeds.
         for victim_id in strategy.steal_order(self, rt):
             self.steal_attempts += 1
             victim = rt.workers[victim_id]

@@ -358,11 +358,10 @@ class Machine:
         Batches over BIND/INTERLEAVE regions take the numpy kernels of
         :mod:`repro.hw.vector`: unsorted, duplicate-laden and write
         batches are serviced whole by the gather kernel (including
-        batches that overflow the requester's slice); sorted batches
-        and the gather kernel's declines route their long miss /
-        local-hit / one-peer-fill runs through the segment kernels
-        (duplicates cut segment boundaries); every other shape takes the
-        scalar loop.
+        batches that overflow the requester's slice); sorted batches it
+        does not take route their long miss / local-hit / one-peer-fill
+        runs through the segment kernels; an unsorted batch it declines,
+        and every other shape, takes the scalar loop.
         Both paths are bit-identical to the per-access servicing
         (``blocks`` may be a Python sequence or an int ndarray).
         """
@@ -376,7 +375,7 @@ class Machine:
             n = len(seq)
         return self._service_blocks(
             core, region, seq, arr, n, now, nbytes, write, per_issue_ns, mlp,
-            distinct=False, validated=False,
+            validated=False,
         )
 
     def access_run(
@@ -459,7 +458,7 @@ class Machine:
         arr = start + stride * np.arange(count, dtype=np.int64)
         return self._service_blocks(
             core, region, None, arr, count, now, nbytes, write, per_issue_ns, mlp,
-            distinct=True, validated=True,
+            validated=True,
         )
 
     def _service_blocks(
@@ -474,24 +473,19 @@ class Machine:
         write: bool,
         per_issue_ns: float,
         mlp: float,
-        distinct: bool,
         validated: bool,
     ) -> BatchResult:
-        """Shared batch/run servicing: segment, classify, vectorize, fall back.
+        """Shared batch/run servicing: gather, classify, vectorize, fall back.
 
-        The batch is first split into maximal *duplicate-free segments* by
-        an O(n) seen-set splitter (a repeated block cuts a segment boundary
-        instead of forcing the whole batch scalar); each segment is then
-        classified into runs of equal service class — all-hit /
-        all-one-peer / all-miss / scalar — and the long runs are serviced
-        by the numpy kernels of :mod:`repro.hw.vector`
-        (:meth:`_service_segment`), interleaved with scalar spans for
-        everything else.  Classification up front is sound because a
-        duplicate-free segment cannot re-touch a block it already serviced
-        — see MODELING.md ("Hit-path and peer-fill kernels") for the
-        per-class stability argument; the one mutable hazard (fills
-        evicting a later hit run from the requester's slice) is guarded by
-        an eviction-counter check at dispatch time.
+        Short batches and REPLICATED regions take the scalar loop.  Write
+        and unsorted batches go to the gather kernel, which services them
+        whole or declines untouched.  A sorted batch — an ``access_run``,
+        a sorted read, or a sorted write the gather kernel declined — is
+        classified whole into runs of equal service class (all-hit /
+        all-one-peer / all-miss / scalar) by :meth:`_service_segment`,
+        which services the long runs with the numpy kernels of
+        :mod:`repro.hw.vector` and the rest as scalar spans.  An unsorted
+        batch the gather kernel declines takes the scalar loop whole.
         """
         self.total_accesses += n
         if n == 0:
@@ -564,51 +558,16 @@ class Machine:
                         prof.add("vec_dup_replay" if g else "vec_gather",
                                  n, perf_counter() - pt0)
             if not serviced:
-                cuts: Sequence[int] = ()
-                if not distinct and not sorted_inc:
-                    # Seen-set pass recording where duplicates force
-                    # segment boundaries (the pre-gather fallback path).
-                    if seq is None:
-                        seq = arr.tolist()
-                    seen = set()
-                    seen_add = seen.add
-                    seg_cuts = []
-                    for i, b in enumerate(seq):
-                        if b in seen:
-                            seg_cuts.append(i)
-                            seen.clear()
-                        seen_add(b)
-                    cuts = seg_cuts
-                keys_list = keys.tolist()
                 if seq is None:
                     seq = arr.tolist()
-                # ``pos`` tracks the pending (not yet serviced) scalar
-                # prefix: short segments and scalar-classified runs merge
-                # into one span per gap, so an all-duplicates batch costs
-                # exactly one scalar prologue, not one per single-block
-                # segment.
-                pos = 0
-                bounds = (0, *cuts, n)
-                for si in range(len(bounds) - 1):
-                    i0 = bounds[si]
-                    i1 = bounds[si + 1]
-                    if i1 - i0 < VECTOR_MIN:
-                        continue
-                    if pos < i0:
-                        # Flush the pending span *before* classifying:
-                        # scalar servicing mutates cache and directory
-                        # state the classification must observe.
-                        self._scalar_span(core, region, seq, pos, i0,
-                                          req_bytes, write, per_issue_ns,
-                                          mlp, counts, state)
-                        pos = i0
-                    pos = self._service_segment(
+                if sorted_inc:
+                    self._service_segment(
                         core, region, chiplet, my_node, seq, arr, keys,
-                        keys_list, i0, i1, pos, req_bytes, write,
-                        per_issue_ns, mlp, lats, counts, state,
+                        req_bytes, write, per_issue_ns, mlp, lats, counts,
+                        state,
                     )
-                if pos < n:
-                    self._scalar_span(core, region, seq, pos, n, req_bytes,
+                else:
+                    self._scalar_span(core, region, seq, 0, n, req_bytes,
                                       write, per_issue_ns, mlp, counts, state)
 
         cache = self.caches.caches[chiplet]
@@ -636,10 +595,6 @@ class Machine:
         seq: Sequence[int],
         arr: np.ndarray,
         keys: np.ndarray,
-        keys_list: List[int],
-        i0: int,
-        i1: int,
-        pos: int,
         req_bytes: int,
         write: bool,
         per_issue_ns: float,
@@ -647,58 +602,46 @@ class Machine:
         lats: Tuple[float, float, float, float],
         counts: List[int],
         state: list,
-    ) -> int:
-        """Classify and dispatch one duplicate-free segment ``[i0, i1)``.
+    ) -> None:
+        """Classify and service a whole sorted (duplicate-free) batch.
 
-        Splits the segment into maximal runs of equal service class and
+        Splits the batch into maximal runs of equal service class and
         routes each long run to its kernel — miss runs to
         :func:`repro.hw.vector.dram_fill_segment`, hit runs to
         :func:`~repro.hw.vector.local_hit_segment`, one-peer read runs to
-        :func:`~repro.hw.vector.peer_fill_segment` — leaving short and
-        scalar-classified runs pending for the caller's merged scalar
-        spans.  Returns the new ``pos`` (start of the pending scalar
-        region).
+        :func:`~repro.hw.vector.peer_fill_segment` — and merges short and
+        scalar-classified runs into one scalar span per gap.
 
-        Classifying the whole segment up front is sound because the
-        segment is duplicate-free: servicing one block cannot change a
-        *different* block's miss label (fills only add the requester as a
-        holder of its own blocks) or peer label (the requester's fills and
-        evictions never touch a peer's slice, and write batches classify
-        every sharer-invalidating shape as scalar).  The single hazard is
-        a fill *evicting* a later hit run's block from the requester's own
-        slice — guarded below by re-checking the slice's eviction counter
-        at dispatch time and demoting the run to scalar if it moved.
+        Classifying the whole batch up front is sound because it is
+        duplicate-free: servicing one block cannot change a *different*
+        block's miss label (fills only add the requester as a holder of
+        its own blocks) or peer label (the requester's fills and evictions
+        never touch a peer's slice, and write batches classify every
+        sharer-invalidating shape as scalar).  The single hazard is a fill
+        *evicting* a later hit run's block from the requester's own slice
+        — guarded below by re-checking the slice's eviction counter at
+        dispatch time and demoting the run to scalar if it moved (see
+        MODELING.md for the case this guard misses).
         """
         caches = self.caches
         dir_slot = caches._dir_slot
         cache = caches.caches[chiplet]
-        whole_seg = i0 == 0 and i1 == len(keys_list)
-        seg_keys = keys_list if whole_seg else keys_list[i0:i1]
-        lru = cache._slot
-        n_seg = i1 - i0
-        # Hot re-read steady state: the slice's most-recent entries are
-        # exactly this segment in batch order, so it is all-HIT *and* the
-        # bulk touch would reorder nothing.  Probed O(1) via the last
-        # recency key before paying the O(len(lru)) tail compare.
-        if (not write and len(lru) >= n_seg
-                and next(reversed(lru)) == seg_keys[-1]
-                and list(lru)[len(lru) - n_seg:] == seg_keys):
-            runs: Sequence[Tuple[int, int, int]] = ((_HIT, i0, i1),)
-            touch_noop = True
+        keys_list = keys.tolist()
+        n = len(keys_list)
+        # Fast paths for the two homogeneous steady states: a streaming
+        # batch resident nowhere (one C-level disjointness check) and a
+        # hot read batch fully resident in the requester's slice (one
+        # C-level superset check).
+        if not dir_slot or dir_slot.keys().isdisjoint(keys_list):
+            runs: Sequence[Tuple[int, int, int]] = ((_MISS, 0, n),)
+        elif not write and cache._slot.keys() >= set(keys_list):
+            runs = ((_HIT, 0, n),)
         else:
-            touch_noop = False
-            # Fast paths for the two other homogeneous steady states: a
-            # streaming segment resident nowhere (one C-level disjointness
-            # check) and a hot read segment fully resident in the
-            # requester's slice (one C-level superset check).
-            if not dir_slot or dir_slot.keys().isdisjoint(seg_keys):
-                runs = ((_MISS, i0, i1),)
-            elif not write and lru.keys() >= set(seg_keys):
-                runs = ((_HIT, i0, i1),)
-            else:
-                runs = self._classify_runs(chiplet, seg_keys, i0, write)
+            runs = self._classify_runs(chiplet, keys_list, write)
         ev0 = cache.evictions
         prof = self.profiler
+        # ``pos`` tracks the pending (not yet serviced) scalar prefix.
+        pos = 0
         for lab, r0, r1 in runs:
             n_run = r1 - r0
             if (n_run < VECTOR_MIN or lab == _SCALAR
@@ -707,52 +650,49 @@ class Machine:
             if pos < r0:
                 self._scalar_span(core, region, seq, pos, r0, req_bytes,
                                   write, per_issue_ns, mlp, counts, state)
-            whole = r0 == 0 and r1 == len(keys_list)
+            whole = r0 == 0 and r1 == n
             kl = keys_list if whole else keys_list[r0:r1]
             pt0 = perf_counter() if prof is not None else 0.0
             if lab == _MISS:
-                t_end, fin, n_local, n_remote = vector.dram_fill_segment(
+                vector.dram_fill_segment(
                     self, region, chiplet, my_node,
                     arr if whole else arr[r0:r1],
                     keys if whole else keys[r0:r1],
-                    kl, state[0], req_bytes, per_issue_ns, mlp,
-                    lats[0], lats[1],
+                    kl, req_bytes, per_issue_ns, mlp, lats, counts, state,
                 )
-                counts[IDX_DRAM_LOCAL] += n_local
-                counts[IDX_DRAM_REMOTE] += n_remote
-                state[4] += n_run
-                if prof is not None:
-                    prof.add("vec_miss", n_run, perf_counter() - pt0)
-            elif lab == _HIT:
-                t_end, fin = vector.local_hit_segment(
-                    self, chiplet, kl, state[0], per_issue_ns, mlp,
-                    touch_noop=touch_noop,
-                )
-                # touch_run counted the hits on the slice directly; the
-                # span state must not double-count them in the finale.
-                counts[IDX_LOCAL_CHIPLET] += n_run
-                if prof is not None:
-                    prof.add("vec_hit", n_run, perf_counter() - pt0)
+                path = "vec_miss"
             else:
-                t_end, fin, same = vector.peer_fill_segment(
-                    self, region, chiplet, lab, kl, state[0], req_bytes,
-                    per_issue_ns, mlp, lats[2], lats[3],
-                )
-                counts[IDX_REMOTE_CHIPLET if same
-                       else IDX_REMOTE_NUMA_CHIPLET] += n_run
-                state[4] += n_run
-                if prof is not None:
-                    prof.add("vec_peer", n_run, perf_counter() - pt0)
-            state[0] = t_end
-            if fin > state[1]:
-                state[1] = fin
+                if lab == _HIT:
+                    t_end, fin = vector.local_hit_segment(
+                        self, chiplet, kl, state[0], per_issue_ns, mlp,
+                    )
+                    # touch_run counted the hits on the slice directly; the
+                    # span state must not double-count them in the finale.
+                    counts[IDX_LOCAL_CHIPLET] += n_run
+                    path = "vec_hit"
+                else:
+                    t_end, fin, same = vector.peer_fill_segment(
+                        self, region, chiplet, lab, kl, state[0], req_bytes,
+                        per_issue_ns, mlp, lats[2], lats[3],
+                    )
+                    counts[IDX_REMOTE_CHIPLET if same
+                           else IDX_REMOTE_NUMA_CHIPLET] += n_run
+                    state[4] += n_run
+                    path = "vec_peer"
+                state[0] = t_end
+                if fin > state[1]:
+                    state[1] = fin
+            if prof is not None:
+                prof.add(path, n_run, perf_counter() - pt0)
             pos = r1
-        return pos
+        if pos < n:
+            self._scalar_span(core, region, seq, pos, n, req_bytes, write,
+                              per_issue_ns, mlp, counts, state)
 
     def _classify_runs(
-        self, chiplet: int, seg_keys: List[int], base: int, write: bool,
+        self, chiplet: int, keys_list: List[int], write: bool,
     ) -> List[Tuple[int, int, int]]:
-        """Classify a duplicate-free segment into maximal same-class runs.
+        """Classify a duplicate-free batch into maximal same-class runs.
 
         Returns ``(label, start, end)`` tuples in batch order — ``_HIT``
         (resident in the requester's slice; for writes only when the
@@ -772,9 +712,8 @@ class Machine:
         smask = caches._socket_mask[my_socket]
         runs: List[Tuple[int, int, int]] = []
         cur = _SCALAR - 1  # sentinel unequal to every real label
-        r0 = base
-        i = base
-        for k in seg_keys:
+        r0 = 0
+        for i, k in enumerate(keys_list):
             s = dir_slot_get(k)
             if s is None:
                 lab = _MISS
@@ -791,12 +730,11 @@ class Machine:
                     cand = same if same else m
                     lab = (cand & -cand).bit_length() - 1
             if lab != cur:
-                if i > base:
+                if i:
                     runs.append((cur, r0, i))
                 cur = lab
                 r0 = i
-            i += 1
-        runs.append((cur, r0, i))
+        runs.append((cur, r0, len(keys_list)))
         return runs
 
     def _scalar_span(

@@ -34,14 +34,15 @@ its own blocks — before one shared service tail
 only for non-uniformly sized slices and for sorted-distinct batches that
 overflow the slice (those stream faster through the segment kernels).
 
-Sorted and declined batches are split into maximal duplicate-free
-*segments* (repeated blocks cut segment boundaries), classified per *run*
-of equal service class by ``Machine._service_segment`` (see MODELING.md
-for the full table):
+Sorted batches (duplicate-free by construction) are classified whole,
+per *run* of equal service class, by ``Machine._service_segment`` (see
+MODELING.md for the full table); an unsorted batch the gather kernel
+declines takes the scalar loop:
 
 - **miss** runs — blocks resident in no L3 slice — go to
   :func:`dram_fill_segment` (pure DRAM fills; writes service like reads
-  because there are no sharers to invalidate);
+  because there are no sharers to invalidate), which times every run
+  but a BIND arithmetic one through the same shared tail;
 - **hit** runs — blocks resident in the requester's own slice — go to
   :func:`local_hit_segment` (one bulk LRU touch, no servers);
 - **one-peer** runs — read fills whose deterministic min-id holder is
@@ -51,10 +52,10 @@ for the full table):
   scalar loop, with boundaries chosen conservatively.
 
 The hot shape — a BIND-region arithmetic run (sequential or strided
-scan) arriving at an idle machine — additionally takes a *joint* fast
-path: when no server queues anywhere in the segment, every delay equals
-its pure service expression, so the per-server grouping collapses into a
-handful of whole-segment array ops plus O(channels) scalar accounting.
+scan) — instead takes a *joint* channel path (:func:`_bind_arith_segment`):
+when no channel queues anywhere in the run (or every channel is
+backlogged throughout), every channel's chain collapses into a handful
+of whole-run array ops plus O(channels) scalar accounting.
 """
 
 from bisect import bisect_left, insort
@@ -138,6 +139,7 @@ def _per_row(mat, first: int, m: int, rem: int) -> list:
 
 
 _ARANGE = np.arange(4096)
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _arange(k: int) -> np.ndarray:
@@ -483,134 +485,70 @@ def dram_fill_segment(
     blocks: np.ndarray,
     keys: np.ndarray,
     keys_list: List[int],
-    t0: float,
     req_bytes: int,
     per_issue_ns: float,
     mlp: float,
-    lat_local: float,
-    lat_remote: float,
-) -> Tuple[float, float, int, int]:
-    """Service a vectorizable segment of pure DRAM fills.
+    lats: Tuple[float, float, float, float],
+    counts: List[int],
+    state: list,
+) -> None:
+    """Service a vectorizable run of pure DRAM fills.
 
     Preconditions (established by the caller): ``blocks`` are distinct,
     in range, resident in no slice, and the region is BIND or INTERLEAVE.
     Mutates channel/link/xlink servers, the requester's LRU slice, the
-    directory, and the slice's eviction counter — all bit-identically to
-    the scalar loop.
+    directory, the slice's eviction counter, the shared span ``state``
+    and the per-source ``counts`` — all bit-identically to the scalar
+    loop.
 
-    Returns ``(t_end, finish, n_local, n_remote)`` where ``t_end`` is the
-    issue clock after the segment and ``finish`` the segment's slowest
-    completion.
+    A BIND arithmetic run (sequential or strided scan) takes the joint
+    channel path of :func:`_bind_arith_segment`.  Every other run —
+    non-arithmetic BIND, and INTERLEAVE — is timed as class codes 1/2
+    (local/remote DRAM) by the gather kernel's service tail,
+    :func:`_service_accesses`, followed by one bulk ``fill_run``.
     """
-    n = blocks.shape[0]
-    lat = machine.latency
-    channels = machine.channels
-    cps = channels.channels_per_socket
-    s_chan = req_bytes / channels.bytes_per_ns
-    s_link = req_bytes / machine.links.bytes_per_ns
-    s_xlink = req_bytes / machine.xlinks.bytes_per_ns
-    link = machine.links.server(chiplet)
-
     if region.policy is MemPolicy.BIND:
+        n = blocks.shape[0]
+        lat = machine.latency
+        channels = machine.channels
         home = region.home_node
         local = home == my_node
-        base = lat.dram_local if local else lat.dram_remote
-        # One scalar step for the whole segment: the issue clock is a
-        # seeded cumsum of a constant.
-        step = (lat_local if local else lat_remote) / mlp
+        lat_fill = lats[0] if local else lats[1]
+        # One scalar step for the whole run: the issue clock is a seeded
+        # cumsum of a constant.
+        step = lat_fill / mlp
         if per_issue_ns > 0.0 and step < per_issue_ns:
             step = per_issue_ns
         tf = np.empty(n + 1)
-        tf[0] = t0
+        tf[0] = state[0]
         tf[1:] = step
         tf = np.cumsum(tf)
-        t = tf[:-1]
-        t_end = float(tf[-1])
-
-        res = _bind_arith_segment(
-            machine, blocks, keys_list, t, base, home, local,
-            my_node, cps, s_chan, s_link, s_xlink, link,
+        finish = _bind_arith_segment(
+            machine, blocks, keys_list, tf[:-1],
+            lat.dram_local if local else lat.dram_remote, home, local,
+            my_node, channels.channels_per_socket,
+            req_bytes / channels.bytes_per_ns,
+            req_bytes / machine.links.bytes_per_ns,
+            req_bytes / machine.xlinks.bytes_per_ns,
+            machine.links.server(chiplet),
         )
-        if res is not None:
-            finish = res
+        if finish is not None:
             machine.caches.fill_run(chiplet, keys_list, region.block_bytes)
-            fl = machine._fill_lat
             src = IDX_DRAM_LOCAL if local else IDX_DRAM_REMOTE
-            fl[src] = _chain(fl[src], n, lat_local if local else lat_remote)
-            return t_end, finish, n if local else 0, 0 if local else n
-
-        homes = None
-        remote_mask = None
-    else:  # INTERLEAVE
-        homes = blocks % region.numa_nodes
-        local_mask = homes == my_node
-        remote_mask = ~local_mask
-        base = np.where(local_mask, lat.dram_local, lat.dram_remote)
-        lat_arr = np.where(local_mask, lat_local, lat_remote)
-
-        # Issue clock: steps depend only on pure latency, so every arrival
-        # time is known before any queue is consulted.  Seeded cumsum ==
-        # the scalar loop's sequential ``t += step``.
-        step = lat_arr / mlp
-        if per_issue_ns > 0.0:
-            step = np.where(step > per_issue_ns, step, per_issue_ns)
-        tf = np.empty(n + 1)
-        tf[0] = t0
-        tf[1:] = step
-        tf = np.cumsum(tf)
-        t = tf[:-1]
-        t_end = float(tf[-1])
-
-    # Per-channel max-plus recurrence, grouped by owning channel.
-    d_chan = np.empty(n)
-    chan_of = keys % cps
-    if homes is None:
-        sort_key = chan_of
-    else:
-        sort_key = homes * cps + chan_of
-    order = np.argsort(sort_key, kind="stable")
-    sorted_key = sort_key[order]
-    group_bounds = [0, *(np.flatnonzero(sorted_key[1:] != sorted_key[:-1]) + 1).tolist(), n]
-    for gi in range(len(group_bounds) - 1):
-        b0 = group_bounds[gi]
-        b1 = group_bounds[gi + 1]
-        idx = order[b0:b1]
-        sk = int(sorted_key[b0])
-        socket = home if homes is None else sk // cps
-        server = channels.server(socket, sk % cps)
-        d, _ = serve_constant(server, t[idx], s_chan)
-        d_chan[idx] = d
-
-    # The requester's fabric link sees every access, in batch order.
-    d_link, _ = serve_constant(link, t, s_link)
-
-    ns = (base + d_chan) + d_link
-    if homes is None:
-        if not local:
-            server = machine.xlinks.server(my_node, home)
-            d_x, _ = serve_constant(server, t, s_xlink)
-            ns = ns + d_x
-        n_local = n if local else 0
-    else:
-        for h in np.unique(homes[remote_mask]) if remote_mask.any() else ():
-            idx = np.flatnonzero(homes == h)
-            server = machine.xlinks.server(my_node, int(h))
-            d_x, _ = serve_constant(server, t[idx], s_xlink)
-            ns[idx] = ns[idx] + d_x
-        n_local = int(np.count_nonzero(local_mask))
-
-    finish = float((t + ns).max())
+            fl = machine._fill_lat
+            fl[src] = _chain(fl[src], n, lat_fill)
+            counts[src] += n
+            state[0] = float(tf[-1])
+            if finish > state[1]:
+                state[1] = finish
+            state[4] += n
+            return
+    homes, code = _dram_homes(region, my_node, blocks)
+    _service_accesses(machine, chiplet, my_node, keys, code, None,
+                      _arange(blocks.shape[0]), homes, _EMPTY, _EMPTY,
+                      state[0], req_bytes, per_issue_ns, mlp, lats, counts,
+                      state)
     machine.caches.fill_run(chiplet, keys_list, region.block_bytes)
-    # Per-source fill-latency histogram: within this segment each source's
-    # accumulator receives its own pure-latency constant once per access,
-    # so the scalar ``+=`` chain is order-independent across the interleave
-    # and replays as one chain per source.
-    fl = machine._fill_lat
-    if n_local:
-        fl[IDX_DRAM_LOCAL] = _chain(fl[IDX_DRAM_LOCAL], n_local, lat_local)
-    if n - n_local:
-        fl[IDX_DRAM_REMOTE] = _chain(fl[IDX_DRAM_REMOTE], n - n_local, lat_remote)
-    return t_end, finish, n_local, n - n_local
 
 
 def _bind_arith_segment(
@@ -623,7 +561,7 @@ def _bind_arith_segment(
     ``q``, its arrivals hit the home socket's channels cyclically with
     period ``p = cps / gcd(|q|, cps)``: arrival ``i`` is the ``i // p``-th
     visit to channel ``(c0 + (i % p) * q) % cps``.  That structure
-    collapses the per-channel grouping (argsort + fancy indexing) into
+    replaces grouping arrivals by channel (argsort + fancy indexing) with
     strided views, and lets the two steady-state regimes be serviced for
     *all* channels jointly:
 
@@ -644,7 +582,8 @@ def _bind_arith_segment(
     :func:`serve_constant` — they are single servers, not banks.
 
     Returns the segment's ``finish`` time, or ``None`` when the blocks
-    are not an arithmetic progression (caller uses the grouped path).
+    are not an arithmetic progression (the caller then times the run
+    through :func:`_service_accesses`).
     """
     n = blocks.shape[0]
     if n < 2:
@@ -901,7 +840,8 @@ def gather_segment(
     (:func:`_writeback_directory`).
 
     Declines — returning ``None`` with **no state mutated**, so the
-    caller falls back to the segment/scalar path — when the region is not
+    caller falls back to the segment route (sorted batches) or the scalar
+    loop (unsorted ones) — when the region is not
     BIND/INTERLEAVE-shaped (non-uniformly sized resident entries, blocks
     larger than the slice), and for *sorted-distinct* batches that
     overflow the slice: those stream through ``dram_fill_segment``
@@ -1411,13 +1351,8 @@ def local_hit_segment(
     t0: float,
     per_issue_ns: float,
     mlp: float,
-    touch_noop: bool = False,
 ) -> Tuple[float, float]:
     """Service a run of local L3 hits: one bulk LRU touch + a clock replay.
-
-    ``touch_noop=True`` asserts the caller already proved the slice's
-    recency tail equals ``keys_list`` (the hot re-read steady state), so
-    the bulk touch would reorder nothing and only the hit counter moves.
 
     Preconditions (established by the caller's classification): every key
     is resident in ``chiplet``'s slice, and for write batches this chiplet
@@ -1439,10 +1374,7 @@ def local_hit_segment(
     if per_issue_ns > step:
         step = per_issue_ns
     t_last = _chain(t0, n - 1, step)
-    if touch_noop:
-        machine.caches.caches[chiplet].hits += n
-    else:
-        machine.caches.touch_run(chiplet, keys_list)
+    machine.caches.touch_run(chiplet, keys_list)
     fl = machine._fill_lat
     fl[IDX_LOCAL_CHIPLET] = _chain(fl[IDX_LOCAL_CHIPLET], n, ns)
     return t_last + step, t_last + ns

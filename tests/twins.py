@@ -7,17 +7,26 @@ order, directory, slice counters, every server's queue state, per-core
 counters, fill-latency chains — bit for bit.
 """
 
+from contextlib import contextmanager
+
 import repro.hw.machine as machine_mod
+
+
+@contextmanager
+def forced_scalar():
+    """Disable the vector kernels: every batch takes the scalar loop."""
+    saved = machine_mod.VECTOR_MIN
+    machine_mod.VECTOR_MIN = 1 << 60
+    try:
+        yield
+    finally:
+        machine_mod.VECTOR_MIN = saved
 
 
 def scalar_batch(machine, core, region, blocks, now, **kw):
     """Service a batch with the vector kernels disabled (reference path)."""
-    saved = machine_mod.VECTOR_MIN
-    machine_mod.VECTOR_MIN = 1 << 60
-    try:
+    with forced_scalar():
         return machine.access_batch(core, region, list(blocks), now, **kw)
-    finally:
-        machine_mod.VECTOR_MIN = saved
 
 
 def assert_same_state(m_fast, m_ref):

@@ -17,3 +17,22 @@ strategy:
   TPC-C drivers;
 - :mod:`repro.workloads.streamcluster` — PARSEC streamcluster k-median.
 """
+
+import numpy as np
+
+
+def sorted_unique(a) -> np.ndarray:
+    """Sorted distinct values of ``a`` (flattened): ``np.unique`` by one sort.
+
+    A plain ``np.unique`` runs through a hash table and then sorts its
+    result, which on integer keys costs several times one ``np.sort``.
+    Sorting once and keeping the first element of each run of equal
+    values gives the same values in the same dtype.
+    """
+    s = np.sort(a, axis=None)
+    if s.size < 2:
+        return s
+    keep = np.empty(s.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]

@@ -18,6 +18,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.sim.rng import stream_np_rng
+from repro.workloads import sorted_unique
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,8 @@ def from_edge_list(n: int, edges: np.ndarray, seed: int = 1) -> Graph:
     """Build an undirected CSR graph from a directed edge array (m, 2).
 
     Symmetrises, removes self loops and parallel duplicates, sorts
-    neighbour lists, and assigns deterministic weights in [1, 255].
+    neighbour lists, and assigns deterministic weights in [1, 255]
+    (a hash of the unordered endpoint pair; ``seed`` does not affect them).
     """
     edges = np.asarray(edges, dtype=np.int64)
     if edges.size == 0:
@@ -97,13 +99,11 @@ def from_edge_list(n: int, edges: np.ndarray, seed: int = 1) -> Graph:
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    # Dedupe parallel edges via the packed key.
-    key = src * n + dst
-    key = np.unique(key)
-    src = (key // n).astype(np.int64)
+    # Dedupe parallel edges via the packed key; the sorted keys come out
+    # grouped by source with each neighbour list sorted.
+    key = sorted_unique(src * n + dst)
+    src = key // n
     dst = (key % n).astype(np.int32)
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
     counts = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -111,8 +111,6 @@ def from_edge_list(n: int, edges: np.ndarray, seed: int = 1) -> Graph:
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     weights = ((lo * 2654435761 + hi * 40503) % 255 + 1).astype(np.int32)
-    rng_check = stream_np_rng(seed, "weights")  # reserved for future jitter
-    del rng_check
     return Graph(n, indptr, dst.astype(np.int32), weights)
 
 

@@ -34,6 +34,7 @@ import numpy as np
 from repro.runtime.ops import SpawnOp, WaitFuture
 from repro.runtime.program import OpProgram
 from repro.runtime.runtime import Runtime
+from repro.workloads import sorted_unique
 from repro.workloads.graph.generator import Graph
 
 UNREACHED = -1
@@ -68,7 +69,7 @@ def _ranges_to_blocks(starts: np.ndarray, ends: np.ndarray, block_bytes: int) ->
     total = int(span.sum())
     base = np.repeat(first, span)
     offset = np.arange(total) - np.repeat(np.cumsum(span) - span, span)
-    return np.unique(base + offset)
+    return sorted_unique(base + offset)
 
 
 def gather_neighbors(g: Graph, vertices: np.ndarray):
@@ -304,7 +305,7 @@ def _owner_round_task(ws: GraphWorkspace, state: GraphState, part: int,
     program = OpProgram()
     inbox_base, inbox_count = ws.inbox_run(part, cand_v.size)
     program.run(ws.msg, inbox_base, inbox_count)
-    uniq = np.unique(cand_v)
+    uniq = sorted_unique(cand_v)
     # Deduped state write-back: each owned vertex's state is updated once
     # per round regardless of how many messages named it — the per-message
     # examination cost is the inbox drain above, not extra memory writes.
@@ -321,11 +322,11 @@ def _owner_round_task(ws: GraphWorkspace, state: GraphState, part: int,
     elif kind == "sssp":
         before = state.dist[cand_v]
         np.minimum.at(state.dist, cand_v, cand_p)
-        new = np.unique(cand_v[state.dist[cand_v] < before])
+        new = sorted_unique(cand_v[state.dist[cand_v] < before])
     elif kind == "cc":
         before = state.label[cand_v]
         np.minimum.at(state.label, cand_v, cand_p)
-        new = np.unique(cand_v[state.label[cand_v] < before])
+        new = sorted_unique(cand_v[state.label[cand_v] < before])
     elif kind == "cc-seed":
         new = uniq
     else:  # pragma: no cover - defensive

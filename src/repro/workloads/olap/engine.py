@@ -19,6 +19,7 @@ from repro.runtime.ops import AccessBatch, AccessRun, Compute, SpawnOp, WaitFutu
 from repro.runtime.program import OpProgram
 from repro.runtime.policy import SchedulingStrategy
 from repro.runtime.runtime import Runtime, RunReport
+from repro.workloads import sorted_unique
 from repro.workloads.olap.data import TpchData
 
 #: predicate / arithmetic cost per row per column, ns
@@ -133,7 +134,7 @@ class QueryEngine:
             lo, hi = bounds
             chunk = rows[lo:hi]
             if chunk.size:
-                blocks = np.unique(chunk * itemsize // region.block_bytes)
+                blocks = sorted_unique(chunk * itemsize // region.block_bytes)
                 yield AccessBatch(region, blocks, nbytes=64)
                 yield Compute(chunk.size * ROW_NS)
             yield YieldPoint()
@@ -182,7 +183,7 @@ class QueryEngine:
             # Probes hit pseudo-random buckets across the whole table.
             pos = np.searchsorted(sorted_keys, keys)
             buckets = (keys.astype(np.int64) * 2654435761 % max(build_keys.size, 1))
-            blocks = np.unique(buckets * HASH_ENTRY_BYTES // hash_region.block_bytes)
+            blocks = sorted_unique(buckets * HASH_ENTRY_BYTES // hash_region.block_bytes)
             yield AccessBatch(hash_region, blocks, nbytes=64)
             yield Compute((hi - lo) * HASH_ROW_NS)
             yield YieldPoint()

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.hw.machine import Machine
 from repro.runtime.policy import SchedulingStrategy
+from repro.workloads import sorted_unique
 from repro.workloads.olap.data import TpchData
 from repro.workloads.olap.engine import QueryEngine, QueryResult, execute_query
 
@@ -62,7 +63,7 @@ def q4(e: QueryEngine):
     late = yield from e.scan_filter(
         "lineitem", lambda c: c["commitdate"] < c["receiptdate"], ["commitdate", "receiptdate"])
     lkeys = yield from e.gather("lineitem", "orderkey", late)
-    oi, _ = yield from e.hash_join(np.unique(lkeys), e.data.col("orders", "orderkey"))
+    oi, _ = yield from e.hash_join(sorted_unique(lkeys), e.data.col("orders", "orderkey"))
     odate = yield from e.gather("orders", "orderdate", oi)
     return float((odate < 1200).sum())
 
@@ -198,7 +199,7 @@ def q16(e: QueryEngine):
     pi, _ = yield from e.hash_join(
         e.data.col("part", "partkey")[parts], e.data.col("partsupp", "partkey"))
     skeys = yield from e.gather("partsupp", "suppkey", pi)
-    return float(np.unique(skeys).size)
+    return float(sorted_unique(skeys).size)
 
 
 def q17(e: QueryEngine):

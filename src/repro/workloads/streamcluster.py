@@ -12,10 +12,12 @@ Execution model on the runtime:
   node 0);
 - the open-center array is a small, hot, read-mostly region that every
   distance evaluation touches — the chiplet-placement-sensitive part;
-- each chunk task computes real nearest-center assignments (numpy),
-  charges streaming point reads + hot center reads + distance compute,
-  and enters a :class:`~repro.runtime.ops.CriticalSection` to fold its
-  partial cost into the global accumulator.
+- the centers are fixed for a run, so the real nearest-center
+  assignments (numpy) are computed once per run; each chunk task slices
+  its rows of them, charges streaming point reads + hot center reads +
+  distance compute, and enters a
+  :class:`~repro.runtime.ops.CriticalSection` to fold its partial cost
+  into the global accumulator.
 
 As core counts grow the fixed per-chunk costs and the serial section
 dominate the shrinking per-chunk work — the fragmentation collapse the
@@ -40,6 +42,9 @@ DIST_NS_PER_ELEM = 0.04
 CRITICAL_NS = 400.0
 #: streaming read bandwidth for point data, bytes/ns
 POINT_SCAN_BW = 25.0
+#: rows per block of the nearest-center precompute (bounds the
+#: rows x centers x dims float32 temporary)
+NEAREST_BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -67,32 +72,47 @@ def assign_reference(points: np.ndarray, centers: np.ndarray):
     return assignment, float(d2.min(axis=1).sum())
 
 
+def _nearest(points: np.ndarray, centers: np.ndarray):
+    """Each point's nearest center and squared distance to it.
+
+    Row reductions do not depend on which rows share a block, so slicing
+    the result equals recomputing it on any chunk of rows.
+    """
+    n = points.shape[0]
+    best = np.empty(n, dtype=np.int64)
+    d2min = np.empty(n, dtype=np.result_type(points, centers))
+    for lo in range(0, n, NEAREST_BLOCK_ROWS):
+        hi = min(lo + NEAREST_BLOCK_ROWS, n)
+        d2 = ((points[lo:hi, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        best[lo:hi] = d2.argmin(axis=1)
+        d2min[lo:hi] = d2.min(axis=1)
+    return best, d2min
+
+
 class _SCState:
     def __init__(self, n_points: int):
         self.assignment = np.full(n_points, -1, dtype=np.int64)
         self.cost = 0.0
 
 
-def _chunk_task(pts_region, ctr_region, state: _SCState, points: np.ndarray,
-                centers: np.ndarray, lo: int, hi: int, lock: SimLock,
-                pts_block: int, n_ctr_blocks: int, scan_ns: float,
-                record: bool = True):
-    chunk = points[lo:hi]
+def _chunk_task(pts_region, ctr_region, state: _SCState, best: np.ndarray,
+                d2min: np.ndarray, dims: int, n_centers: int, lo: int, hi: int,
+                lock: SimLock, pts_block: int, n_ctr_blocks: int,
+                scan_ns: float, record: bool = True):
     # Stream my point rows; centers are hot shared reads.  The straight-line
     # section up to the critical section compiles into one program; the
     # cost fold stays on the generator side so the float accumulation order
     # across chunks is unchanged (it runs at the first resume after the
     # critical row — exactly where the interpreted ops resumed it).
-    row_bytes = chunk.shape[1] * 4
+    row_bytes = dims * 4
     b0 = lo * row_bytes // pts_block
     b1 = max(b0 + 1, -(-hi * row_bytes // pts_block))
     program = OpProgram()
     program.run(pts_region, b0, b1 - b0, compute_ns_per_block=scan_ns)
     program.run(ctr_region, 0, n_ctr_blocks)
-    d2 = ((chunk[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    state.assignment[lo:hi] = d2.argmin(axis=1)
-    part_cost = float(d2.min(axis=1).sum())
-    program.compute(chunk.shape[0] * centers.shape[0] * chunk.shape[1] * DIST_NS_PER_ELEM)
+    state.assignment[lo:hi] = best[lo:hi]
+    part_cost = float(d2min[lo:hi].sum())
+    program.compute((hi - lo) * n_centers * dims * DIST_NS_PER_ELEM)
     # Fold the partial cost under the global lock (center-open check).
     program.critical(lock, CRITICAL_NS)
     yield program
@@ -131,7 +151,8 @@ def run_streamcluster(
     ctr_region = runtime.alloc_shared(
         max(n_centers * dims * 4, 512), read_only=False, name="sc-centers", block_bytes=512
     )
-    centers = points[:n_centers].copy()
+    centers = points[:n_centers]
+    best, d2min = _nearest(points, centers)
     state = _SCState(n_points)
     lock = SimLock("sc-open")
     batch = batch_points or n_points
@@ -152,9 +173,10 @@ def run_streamcluster(
                         continue
                     t = yield SpawnOp(
                         _chunk_task,
-                        (pts_region, ctr_region, state, points, centers,
-                         int(lo), int(hi), lock, pts_region.block_bytes,
-                         ctr_region.n_blocks, scan_ns, record),
+                        (pts_region, ctr_region, state, best, d2min, dims,
+                         centers.shape[0], int(lo), int(hi), lock,
+                         pts_region.block_bytes, ctr_region.n_blocks, scan_ns,
+                         record),
                         name=f"sc-{lo}",
                     )
                     tasks.append(t)

@@ -14,7 +14,8 @@ Scenario shapes are chosen to pin each class: hit-heavy (warm re-reads),
 peer-heavy (another chiplet is the holder), and mixed batches with
 duplicates (unsorted and duplicate-laden, so the gather kernel takes
 them).  One known divergence of the segment route — a hit run evicted by
-the scalar span flushed ahead of it — is pinned as a strict xfail.
+the scalar span flushed ahead of it — is pinned as strict xfails, in its
+``access_batch`` and its ``access_run`` shape.
 """
 
 import pytest
@@ -257,6 +258,35 @@ def test_hit_run_evicted_by_pending_scalar_span():
     batch = list(range(fresh)) + hot
     res_v = m_vec.access_batch(0, r_vec, batch, now=2e6)
     res_r = scalar_batch(m_ref, 0, r_ref, batch, 2e6)
+    assert res_r.fill_counts[SOURCE_INDEX[FillSource.LOCAL_CHIPLET]] == 0
+    assert res_v.fill_counts == res_r.fill_counts
+    assert res_v.ns == res_r.ns and res_v.finish == res_r.finish
+    assert_same_state(m_vec, m_ref)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the same stale hit through access_run: the miss of block 0 is a "
+    "1-block scalar span still pending when the hit-run eviction guard "
+    "runs, so the run 1..32 it evicts is charged as local hits"))
+def test_access_run_hit_run_evicted_by_pending_scalar_span():
+    """The ``access_run`` shape of the stale hit, from a plain re-read.
+
+    Core 0's slice holds 210 blocks on ``sapphire_rapids(scale=32)``.
+    Reading blocks 0..210 leaves 1..210 resident with block 1 at the LRU
+    front.  Re-reading 0..32 as a run misses block 0, whose fill evicts
+    block 1, and so on down the run: the scalar loop reports 33 fills.
+    The segment route reports 32 local hits and 1 fill.
+    """
+    m_vec, m_ref = sapphire_rapids(scale=32), sapphire_rapids(scale=32)
+    slots = m_vec.caches.caches[0].capacity_bytes // m_vec.block_bytes
+    assert slots == 210
+    size = 2 * (slots + 1) * m_vec.block_bytes
+    r_vec = m_vec.alloc_region(size, node=0, policy=MemPolicy.BIND, name="st")
+    r_ref = m_ref.alloc_region(size, node=0, policy=MemPolicy.BIND, name="st")
+    for m, r in ((m_vec, r_vec), (m_ref, r_ref)):
+        _warm(m, r, 0, range(slots + 1))
+    res_v = m_vec.access_run(0, r_vec, 0, 33, now=1e6)
+    res_r = scalar_batch(m_ref, 0, r_ref, range(33), 1e6)
     assert res_r.fill_counts[SOURCE_INDEX[FillSource.LOCAL_CHIPLET]] == 0
     assert res_v.fill_counts == res_r.fill_counts
     assert res_v.ns == res_r.ns and res_v.finish == res_r.finish

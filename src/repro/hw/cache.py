@@ -352,43 +352,14 @@ class CacheSystem:
         lru.update(reversed(uniq.items()))
         cache.hits += len(blocks)
 
-    def _evict_prefix_dir(self, chiplet: int, victims: List[int]) -> None:
-        """Clear ``chiplet``'s bit on every victim's directory entry,
-        freeing entries that empty.  Vectorized for the steady state where
-        no peer holds any victim (every mask is exactly this chiplet's
-        bit): one fancy-indexed compare, one bulk delete."""
-        dir_slot = self._dir_slot
-        mask_col = self._dir_mask
-        bit = 1 << chiplet
-        vslots = np.fromiter(map(dir_slot.__getitem__, victims), dtype=np.int64,
-                             count=len(victims))
-        vmasks = mask_col[vslots]
-        if not np.bitwise_and(vmasks, ~bit).any():
-            mask_col[vslots] = 0
-            deque(map(dir_slot.__delitem__, victims), maxlen=0)
-            self._dir_free.extend(vslots.tolist())
-        else:
-            dir_free = self._dir_free
-            for v, s, m in zip(victims, vslots.tolist(), vmasks.tolist()):
-                m &= ~bit
-                mask_col[s] = m
-                if not m:
-                    del dir_slot[v]
-                    dir_free.append(s)
-
-    def fill_run(self, chiplet: int, blocks: Sequence[int], nbytes: int,
-                 shared: bool = False) -> int:
+    def fill_run(self, chiplet: int, blocks: Sequence[int], nbytes: int) -> int:
         """Bulk-install ``blocks`` into ``chiplet``'s slice; return evictions.
 
         Exact equivalent of calling :meth:`fill` once per block *in order*,
-        under the preconditions the vectorized batch kernels guarantee:
-        the blocks are distinct, uniformly ``nbytes`` large, and absent
-        from ``chiplet``'s slice (so no LRU refreshes).  With
-        ``shared=False`` (the DRAM-fill kernel) the blocks are resident in
-        **no** slice, so inserts create fresh singleton directory entries.
-        With ``shared=True`` (the peer-fill kernel) each block is already
-        held by at least one other chiplet: inserts *join* the existing
-        holder set (OR this chiplet's bit in) instead.
+        under the preconditions the DRAM-fill kernel guarantees: the
+        blocks are distinct, uniformly ``nbytes`` large, and resident in
+        **no** slice (so no LRU refreshes, and inserts create fresh
+        singleton directory entries).
 
         Because every insert is the same size and evictions pop from the
         LRU front, the victim set is a *prefix* of the current LRU order —
@@ -400,9 +371,7 @@ class CacheSystem:
         """
         obs = self.obs
         if obs is not None:
-            obs.emit("cache.fill_run", {
-                "chiplet": chiplet, "n": len(blocks), "shared": shared,
-            })
+            obs.emit("cache.fill_run", {"chiplet": chiplet, "n": len(blocks)})
         cache = self.caches[chiplet]
         cap = cache.capacity_bytes
         if nbytes <= 0:
@@ -412,6 +381,7 @@ class CacheSystem:
         lru = cache._slot
         len0 = len(lru)
         used0 = cache.used_bytes
+        bit = 1 << chiplet
         # Streaming steady-state fast path: a uniformly-sized full slice
         # whose contents turn over exactly (k inserts evict the len0
         # residents, none of the run self-evicts — guaranteed by
@@ -421,14 +391,13 @@ class CacheSystem:
         # chiplet's singleton mask, so the whole fill is four C-level
         # dict passes plus one vectorized sharing check — no slot
         # free/take round-trip, no column writes.
-        if (not shared and k == len0 and nb == cache._uniform_nb
+        if (k == len0 and nb == cache._uniform_nb
                 and len0 * nb == used0 and cap - nb < k * nb <= cap):
             victims = list(lru)
             vals = list(lru.values())
             lru.clear()
             dir_slot = self._dir_slot
             popped = list(map(dir_slot.pop, victims))
-            bit = 1 << chiplet
             if np.bitwise_and(self._dir_mask[popped], ~bit).any():
                 # Rare: a victim is shared with a peer.  Restore both
                 # maps (same keys in the same order → identical state)
@@ -478,30 +447,26 @@ class CacheSystem:
             else:
                 victims = list(islice(lru, n_evicted))
                 cache._free.extend(map(lru.pop, victims))
-            if shared:
-                self._evict_prefix_dir(chiplet, victims)
+            # Steady-state recycling: when no peer holds any victim,
+            # every victim row is exactly this chiplet's singleton mask —
+            # the same row the fills below would mint.  Keep the rows
+            # (masks unchanged), swap the dict keys.
+            dir_slot = self._dir_slot
+            vslots = np.fromiter(map(dir_slot.__getitem__, victims),
+                                 dtype=np.int64, count=len(victims))
+            if not np.bitwise_and(self._dir_mask[vslots], ~bit).any():
+                deque(map(dir_slot.__delitem__, victims), maxlen=0)
+                recycled = vslots
             else:
-                # Steady-state recycling: when no peer holds any victim,
-                # every victim row is exactly this chiplet's singleton
-                # mask — the same row the fills below would mint.  Keep
-                # the rows (masks unchanged), swap the dict keys.
-                dir_slot = self._dir_slot
-                vslots = np.fromiter(map(dir_slot.__getitem__, victims),
-                                     dtype=np.int64, count=len(victims))
-                bit_ = 1 << chiplet
-                if not np.bitwise_and(self._dir_mask[vslots], ~bit_).any():
-                    deque(map(dir_slot.__delitem__, victims), maxlen=0)
-                    recycled = vslots
-                else:
-                    dir_free = self._dir_free
-                    mask_col = self._dir_mask
-                    for v, s, m in zip(victims, vslots.tolist(),
-                                       self._dir_mask[vslots].tolist()):
-                        m &= ~bit_
-                        mask_col[s] = m
-                        if not m:
-                            del dir_slot[v]
-                            dir_free.append(s)
+                dir_free = self._dir_free
+                mask_col = self._dir_mask
+                for v, s, m in zip(victims, vslots.tolist(),
+                                   self._dir_mask[vslots].tolist()):
+                    m &= ~bit
+                    mask_col[s] = m
+                    if not m:
+                        del dir_slot[v]
+                        dir_free.append(s)
             cache.used_bytes = used0 - evicted_bytes
         cache.evictions += n_evicted + first_kept
         if n_evicted == len0 or cache._uniform_nb == 0:
@@ -515,20 +480,6 @@ class CacheSystem:
             new_slots = cache._take_slots(n_ins)
             cache._sizes[new_slots] = nb
             lru.update(zip(survivors, new_slots))
-        bit = 1 << chiplet
-        if shared:
-            # Peer-fill mode: every inserted block is held by the serving
-            # peer, so the requester *joins* the existing holder mask.  A
-            # self-evicted prefix (blocks[:first_kept]) is a net directory
-            # no-op — scalar fill adds this chiplet then eviction removes
-            # it while the peer's copy keeps the entry alive — so only the
-            # survivors are touched, matching the scalar end state.
-            if n_ins:
-                dir_slot = self._dir_slot
-                ss = np.fromiter(map(dir_slot.__getitem__, survivors),
-                                 dtype=np.int64, count=n_ins)
-                self._dir_mask[ss] |= bit
-            return n_evicted + first_kept
         # Precondition (blocks resident in no slice) + the directory
         # invariant (membership == residency in some slice) guarantee none
         # of the inserted blocks has a directory entry yet: mint fresh

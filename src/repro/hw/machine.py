@@ -65,8 +65,7 @@ GIB = 1024 * MIB
 #: to interpret scalarly.
 VECTOR_MIN = 32
 
-#: Segment-classification labels (``Machine._classify_runs``): peer fills
-#: carry the holder's chiplet id (>= 0), the rest are these sentinels.
+#: Segment-classification labels (``Machine._classify_runs``).
 _HIT = -1
 _MISS = -2
 _SCALAR = -3
@@ -359,9 +358,9 @@ class Machine:
         :mod:`repro.hw.vector`: unsorted, duplicate-laden and write
         batches are serviced whole by the gather kernel (including
         batches that overflow the requester's slice); sorted batches it
-        does not take route their long miss / local-hit / one-peer-fill
-        runs through the segment kernels; an unsorted batch it declines,
-        and every other shape, takes the scalar loop.
+        does not take route their long miss and local-hit runs through
+        the segment kernels; peer fills, an unsorted batch it declines,
+        and every other shape take the scalar loop.
         Both paths are bit-identical to the per-access servicing
         (``blocks`` may be a Python sequence or an int ndarray).
         """
@@ -481,11 +480,11 @@ class Machine:
         and unsorted batches go to the gather kernel, which services them
         whole or declines untouched.  A sorted batch — an ``access_run``,
         a sorted read, or a sorted write the gather kernel declined — is
-        classified whole into runs of equal service class (all-hit /
-        all-one-peer / all-miss / scalar) by :meth:`_service_segment`,
-        which services the long runs with the numpy kernels of
-        :mod:`repro.hw.vector` and the rest as scalar spans.  An unsorted
-        batch the gather kernel declines takes the scalar loop whole.
+        classified whole into runs of equal service class (hit / miss /
+        scalar) by :meth:`_service_segment`, which services the long hit
+        and miss runs with the numpy kernels of :mod:`repro.hw.vector`
+        and the rest as scalar spans.  An unsorted batch the gather
+        kernel declines takes the scalar loop whole.
         """
         self.total_accesses += n
         if n == 0:
@@ -606,22 +605,22 @@ class Machine:
         """Classify and service a whole sorted (duplicate-free) batch.
 
         Splits the batch into maximal runs of equal service class and
-        routes each long run to its kernel — miss runs to
+        routes each long hit or miss run to its kernel — miss runs to
         :func:`repro.hw.vector.dram_fill_segment`, hit runs to
-        :func:`~repro.hw.vector.local_hit_segment`, one-peer read runs to
-        :func:`~repro.hw.vector.peer_fill_segment` — and merges short and
-        scalar-classified runs into one scalar span per gap.
+        :func:`~repro.hw.vector.local_hit_segment`.  A long scalar run
+        (peer fills, invalidating writes) is serviced as a scalar span
+        when it is reached; short runs of any class, and hit runs the
+        guard demotes, merge into the pending scalar span ahead of the
+        next serviced run.
 
         Classifying the whole batch up front is sound because it is
         duplicate-free: servicing one block cannot change a *different*
         block's miss label (fills only add the requester as a holder of
-        its own blocks) or peer label (the requester's fills and evictions
-        never touch a peer's slice, and write batches classify every
-        sharer-invalidating shape as scalar).  The single hazard is a fill
-        *evicting* a later hit run's block from the requester's own slice
-        — guarded below by re-checking the slice's eviction counter at
-        dispatch time and demoting the run to scalar if it moved (see
-        MODELING.md for the case this guard misses).
+        its own blocks).  The single hazard is a fill *evicting* a later
+        hit run's block from the requester's own slice — guarded below by
+        re-checking the slice's eviction counter at dispatch time and
+        demoting the run to scalar if it moved (see MODELING.md for the
+        case this guard misses).
         """
         caches = self.caches
         dir_slot = caches._dir_slot
@@ -644,8 +643,17 @@ class Machine:
         pos = 0
         for lab, r0, r1 in runs:
             n_run = r1 - r0
-            if (n_run < VECTOR_MIN or lab == _SCALAR
-                    or (lab == _HIT and cache.evictions != ev0)):
+            if n_run < VECTOR_MIN:
+                continue
+            if lab == _SCALAR:
+                # A long scalar run (peer fills, invalidating writes) is
+                # serviced now, with the pending prefix, so that its
+                # evictions reach the next hit run's guard.
+                self._scalar_span(core, region, seq, pos, r1, req_bytes,
+                                  write, per_issue_ns, mlp, counts, state)
+                pos = r1
+                continue
+            if lab == _HIT and cache.evictions != ev0:
                 continue
             if pos < r0:
                 self._scalar_span(core, region, seq, pos, r0, req_bytes,
@@ -662,26 +670,16 @@ class Machine:
                 )
                 path = "vec_miss"
             else:
-                if lab == _HIT:
-                    t_end, fin = vector.local_hit_segment(
-                        self, chiplet, kl, state[0], per_issue_ns, mlp,
-                    )
-                    # touch_run counted the hits on the slice directly; the
-                    # span state must not double-count them in the finale.
-                    counts[IDX_LOCAL_CHIPLET] += n_run
-                    path = "vec_hit"
-                else:
-                    t_end, fin, same = vector.peer_fill_segment(
-                        self, region, chiplet, lab, kl, state[0], req_bytes,
-                        per_issue_ns, mlp, lats[2], lats[3],
-                    )
-                    counts[IDX_REMOTE_CHIPLET if same
-                           else IDX_REMOTE_NUMA_CHIPLET] += n_run
-                    state[4] += n_run
-                    path = "vec_peer"
+                t_end, fin = vector.local_hit_segment(
+                    self, chiplet, kl, state[0], per_issue_ns, mlp,
+                )
+                # touch_run counted the hits on the slice directly; the
+                # span state must not double-count them in the finale.
+                counts[IDX_LOCAL_CHIPLET] += n_run
                 state[0] = t_end
                 if fin > state[1]:
                     state[1] = fin
+                path = "vec_hit"
             if prof is not None:
                 prof.add(path, n_run, perf_counter() - pt0)
             pos = r1
@@ -697,19 +695,15 @@ class Machine:
         Returns ``(label, start, end)`` tuples in batch order — ``_HIT``
         (resident in the requester's slice; for writes only when the
         requester is the sole holder, so invalidation is a no-op),
-        ``_MISS`` (resident nowhere), a peer chiplet id >= 0 (read fill
-        whose deterministic min-id holder is that chiplet), or
-        ``_SCALAR`` (everything the kernels don't model: writes that
-        invalidate sharers, peer-fill writes).  One directory lookup per
-        key; the holder choice repeats ``CacheSystem.find_holder``'s
-        min-id-per-distance-class rule exactly.
+        ``_MISS`` (resident nowhere), or ``_SCALAR`` (everything else:
+        peer fills, whose holder the scalar span picks by
+        ``CacheSystem.find_holder``'s rule, and writes that invalidate
+        sharers).  One directory lookup per key.
         """
         caches = self.caches
         dir_slot_get = caches._dir_slot.get
         mask_col = caches._dir_mask
         bit = 1 << chiplet
-        my_socket = self._socket_of_chiplet[chiplet]
-        smask = caches._socket_mask[my_socket]
         runs: List[Tuple[int, int, int]] = []
         cur = _SCALAR - 1  # sentinel unequal to every real label
         r0 = 0
@@ -719,16 +713,7 @@ class Machine:
                 lab = _MISS
             else:
                 m = int(mask_col[s])
-                if m & bit:
-                    lab = _HIT if not write or m == bit else _SCALAR
-                elif write or not m:
-                    lab = _SCALAR
-                else:
-                    # Min-id holder per distance class: lowest set bit of
-                    # the same-socket subset, else of the whole mask.
-                    same = m & smask
-                    cand = same if same else m
-                    lab = (cand & -cand).bit_length() - 1
+                lab = _HIT if m & bit and (not write or m == bit) else _SCALAR
             if lab != cur:
                 if i:
                     runs.append((cur, r0, i))

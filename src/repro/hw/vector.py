@@ -45,11 +45,8 @@ declines takes the scalar loop:
   but a BIND arithmetic one through the same shared tail;
 - **hit** runs — blocks resident in the requester's own slice — go to
   :func:`local_hit_segment` (one bulk LRU touch, no servers);
-- **one-peer** runs — read fills whose deterministic min-id holder is
-  the same remote slice — go to :func:`peer_fill_segment`;
-- everything else (REPLICATED regions, non-uniform sizes, writes that
-  invalidate sharers, mixed-holder spans, short runs) falls back to the
-  scalar loop, with boundaries chosen conservatively.
+- everything else (peer fills, REPLICATED regions, writes that
+  invalidate sharers, short runs) falls back to the scalar loop.
 
 The hot shape — a BIND-region arithmetic run (sequential or strided
 scan) — instead takes a *joint* channel path (:func:`_bind_arith_segment`):
@@ -87,13 +84,6 @@ _LUT_SRC = np.array(
 # seeded cumsum beats the interpreter loop; below it, the numpy call
 # overhead dominates.
 _CHAIN_LOOP_MAX = 48
-
-# A queueing batch is served either by an interpreter replay of
-# ``_Server.service`` (~1 us per arrival) or by the busy-period cumsum
-# replay (a handful of numpy passes per busy period).  The interpreter
-# wins when periods are dense relative to arrivals: python_cost ~ m,
-# numpy_cost ~ periods * this many arrival-equivalents per pass.
-_SERVE_PERIOD_COST = 9
 
 # The breadth-first period replay chains *all* busy periods at once with
 # one vector add per queue position, so its cost is ~6 numpy ops per
@@ -420,27 +410,6 @@ def serve_constant(server, t: np.ndarray, s: float) -> Tuple[np.ndarray, np.ndar
                 acc[1:] = w
                 server.wait_ns = float(np.cumsum(acc)[-1])
                 return f - t, w
-    if m < _SERVE_PERIOD_COST * (n_gaps + 1):
-        # Dense busy periods (scattered arrivals, short queues): an
-        # interpreter replay of ``_Server.service`` — same float ops,
-        # same order — beats per-busy-period numpy passes.
-        busy = server.busy_ns
-        waits = server.wait_ns
-        d_l: List[float] = []
-        w_l: List[float] = []
-        for now in t.tolist():
-            start = free if free > now else now
-            free = start + s
-            busy += s
-            w = start - now
-            waits += w
-            d_l.append(free - now)
-            w_l.append(w)
-        server.free_at = free
-        server.busy_ns = busy
-        server.wait_ns = waits
-        server.requests += m
-        return np.asarray(d_l), np.asarray(w_l)
     f = np.empty(m)
     start = np.empty(m)
     i = 0
@@ -1378,73 +1347,3 @@ def local_hit_segment(
     fl = machine._fill_lat
     fl[IDX_LOCAL_CHIPLET] = _chain(fl[IDX_LOCAL_CHIPLET], n, ns)
     return t_last + step, t_last + ns
-
-
-def peer_fill_segment(
-    machine,
-    region,
-    chiplet: int,
-    holder: int,
-    keys_list: List[int],
-    t0: float,
-    req_bytes: int,
-    per_issue_ns: float,
-    mlp: float,
-    lat_same: float,
-    lat_cross: float,
-) -> Tuple[float, float, bool]:
-    """Service a run of read fills all served by one peer chiplet's L3.
-
-    Preconditions (established by the caller's classification): the run is
-    duplicate-free, no key is resident in the requester's slice, every key
-    is held by ``holder``, and ``holder`` is the deterministic min-id
-    choice (same socket preferred) for every key — i.e. the exact peer the
-    scalar loop would pick per access.
-
-    The issue clock is a seeded cumsum of one constant step (pure fill
-    latency is uniform across the run), then each fabric link replays its
-    max-plus recurrence over the run's arrivals with
-    :func:`serve_constant` — the holder's link, the requester's link, and
-    the cross-socket link when the peer is on the other socket (the scalar
-    path's same-socket cross-link call adds ``+0.0`` without touching any
-    server, so skipping it is bit-identical).  The requesting side's bulk
-    insert/evict and directory transfer is one shared-mode
-    :meth:`CacheSystem.fill_run`.
-
-    Returns ``(t_end, finish, same_socket)``.
-    """
-    n = len(keys_list)
-    socket_of = machine.topo.socket_of_chiplet_table
-    my_socket = socket_of[chiplet]
-    holder_socket = socket_of[holder]
-    same = holder_socket == my_socket
-    lat = machine.latency
-    base = lat.fill_same_socket if same else lat.fill_cross_socket
-    latency = lat_same if same else lat_cross
-    step = latency / mlp  # overlap pure latency, not queue waits
-    if per_issue_ns > step:
-        step = per_issue_ns
-    tf = np.empty(n + 1)
-    tf[0] = t0
-    tf[1:] = step
-    tf = np.cumsum(tf)
-    t = tf[:-1]
-    t_end = float(tf[-1])
-
-    links = machine.links
-    s_link = req_bytes / links.bytes_per_ns
-    d_holder, _ = serve_constant(links.server(holder), t, s_link)
-    d_req, _ = serve_constant(links.server(chiplet), t, s_link)
-    ns = (base + d_holder) + d_req
-    if not same:
-        s_xlink = req_bytes / machine.xlinks.bytes_per_ns
-        xsrv = machine.xlinks.server(my_socket, holder_socket)
-        d_x, _ = serve_constant(xsrv, t, s_xlink)
-        ns = ns + d_x
-
-    finish = float((t + ns).max())
-    machine.caches.fill_run(chiplet, keys_list, region.block_bytes, shared=True)
-    src = IDX_REMOTE_CHIPLET if same else IDX_REMOTE_NUMA_CHIPLET
-    fl = machine._fill_lat
-    fl[src] = _chain(fl[src], n, latency)
-    return t_end, finish, same

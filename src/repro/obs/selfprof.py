@@ -8,7 +8,9 @@ the perf PRs:
 - ``scalar``         — the per-access fallback loop (``Machine._scalar_span``)
 - ``vec_miss``       — vectorized DRAM-fill segments (``dram_fill_segment``)
 - ``vec_hit``        — vectorized local-hit segments (``local_hit_segment``)
-- ``vec_peer``       — vectorized peer-fill segments (``peer_fill_segment``)
+- ``vec_peer``       — always zero: peer fills take the scalar span.  The
+  name stays because the end-to-end benchmark's tracer reads every path
+  by name and reports ``hw.vec_peer.*``
 - ``vec_gather``     — whole-batch gather kernel on unsorted unique
   batches (``gather_segment``, no duplicates present)
 - ``vec_dup_replay`` — the same kernel when repeats were replayed as hits

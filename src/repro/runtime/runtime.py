@@ -282,7 +282,13 @@ class Runtime:
             raise SimulationError(
                 f"stealable-task count is {self.stealable.n} after every task completed"
             )
-        return self._report(wall_ns)
+        report = self._report(wall_ns)
+        # Break the Runtime <-> Worker cycle: a finished run (its machine,
+        # workers and caches) is then freed by reference counting, not
+        # left for the cyclic collector.
+        for w in self.workers:
+            w.runtime = None
+        return report
 
     def _report(self, wall_ns: float) -> RunReport:
         used_cores = [w.core for w in self.workers]

@@ -9,8 +9,8 @@ cell per workload family must match.
 Four fig07/fig08 BFS cells diverge today, pinned as strict xfails: a
 sorted batch's short miss prefix, serviced as a pending scalar span,
 evicts the hit run classified after it, and the segment route still
-charges that run as local hits (see MODELING.md, "Hit-path and
-peer-fill kernels", and ``test_hit_run_evicted_by_pending_scalar_span``).
+charges that run as local hits (see MODELING.md, "Segment classes and
+the hit-path kernel", and ``test_hit_run_evicted_by_pending_scalar_span``).
 """
 
 import hashlib

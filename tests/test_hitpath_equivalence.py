@@ -1,21 +1,24 @@
-"""Bit-identity of the hit-path and peer-fill kernels vs the scalar path.
+"""Bit-identity of the hit path and of peer fills vs the scalar path.
 
-PR 3 proved the *miss*-path kernels bit-identical; this suite covers the
-hit and peer-fill classes added on top: the bulk LRU touch
-(``CacheSystem.touch_run``), the shared-mode bulk install
-(``fill_run(shared=True)``), the segment classifier's hit / one-peer /
-miss / scalar labelling, the hot-replay fast path in ``access_run``, and
-the per-source fill-latency histogram.  The contract is unchanged:
-virtual times, LRU contents *and order*, the sharing directory,
-hit/miss/eviction statistics, per-core fill counters, and bandwidth
-server state must match a forced-scalar twin exactly — bit for bit.
+The miss-path kernels have their own suite; this one covers the hit
+class and the peer fills around it: the bulk LRU touch
+(``CacheSystem.touch_run``), the segment classifier's hit / miss /
+scalar labelling (a block only peers hold is scalar, so peer-heavy
+batches pin the scalar span inside the segment route), the hot-replay
+fast path in ``access_run``, and the per-source fill-latency histogram.
+The contract is unchanged: virtual times, LRU contents *and order*, the
+sharing directory, hit/miss/eviction statistics, per-core fill
+counters, and bandwidth server state must match a forced-scalar twin
+exactly — bit for bit.
 
 Scenario shapes are chosen to pin each class: hit-heavy (warm re-reads),
 peer-heavy (another chiplet is the holder), and mixed batches with
 duplicates (unsorted and duplicate-laden, so the gather kernel takes
 them).  One known divergence of the segment route — a hit run evicted by
-the scalar span flushed ahead of it — is pinned as strict xfails, in its
-``access_batch`` and its ``access_run`` shape.
+a short pending scalar span flushed ahead of it — is pinned as strict
+xfails, in its ``access_batch`` and its ``access_run`` shape.  A long
+scalar run (here: peer fills) is serviced when the route reaches it, so
+its evictions do reach the guard; that shape is pinned as matching.
 """
 
 import pytest
@@ -293,6 +296,38 @@ def test_access_run_hit_run_evicted_by_pending_scalar_span():
     assert_same_state(m_vec, m_ref)
 
 
+def test_long_peer_run_evicts_before_hit_run_guard():
+    """A long peer run is serviced before the next hit run's guard reads.
+
+    Core 0's slice (256 blocks on ``milan(scale=32)``) is full, with 32
+    blocks at its LRU front; another chiplet holds 40 lower blocks.  One
+    sorted read batch touches those 40, then the 32: the 40 peer fills
+    evict the front, so the scalar loop reports 40 peer fills, 32 DRAM
+    fills and no hits.  The 40-block scalar run is serviced when it is
+    reached, so the eviction guard sees its evictions and demotes the
+    hit run.
+    """
+    m_vec, m_ref = milan(scale=32), milan(scale=32)
+    slots = m_vec.caches.caches[0].capacity_bytes // m_vec.block_bytes
+    assert slots == 256
+    peer, front = 40, 32
+    size = (peer + slots) * m_vec.block_bytes
+    other = _core_on_other_chiplet(m_vec, 0)
+    r_vec = m_vec.alloc_region(size, node=0, policy=MemPolicy.BIND, name="pp")
+    r_ref = m_ref.alloc_region(size, node=0, policy=MemPolicy.BIND, name="pp")
+    for m, r in ((m_vec, r_vec), (m_ref, r_ref)):
+        _warm(m, r, other, range(peer))
+        _warm(m, r, 0, range(peer, peer + front), now=1e6)
+        _warm(m, r, 0, range(peer + front, peer + slots), now=2e6)
+    batch = list(range(peer + front))
+    res_v = m_vec.access_batch(0, r_vec, batch, now=3e6)
+    res_r = scalar_batch(m_ref, 0, r_ref, batch, 3e6)
+    assert res_r.fill_counts[SOURCE_INDEX[FillSource.LOCAL_CHIPLET]] == 0
+    assert res_v.fill_counts == res_r.fill_counts
+    assert res_v.ns == res_r.ns and res_v.finish == res_r.finish
+    assert_same_state(m_vec, m_ref)
+
+
 # -- touch_run vs scalar touch loop ------------------------------------------
 
 @settings(max_examples=80, deadline=None)
@@ -335,49 +370,6 @@ def test_touch_run_noop_tail_is_exact():
     cs.touch_run(0, blocks)  # recency tail == blocks: order no-op
     assert list(cs.caches[0]._lru.items()) == before
     assert cs.caches[0].hits == len(blocks)
-
-
-# -- fill_run(shared=True) vs sequential fill --------------------------------
-
-@settings(max_examples=60, deadline=None)
-@given(
-    capacity_blocks=st.integers(1, 12),
-    k=st.integers(1, 20),
-    nbytes=st.integers(1, 200),
-    pre=st.integers(0, 8),
-)
-def test_fill_run_shared_matches_sequential_fill(capacity_blocks, k, nbytes,
-                                                 pre):
-    """Peer-fill installs join existing holder sets, evictions included."""
-    topo = Topology(sockets=1, chiplets_per_socket=3, cores_per_chiplet=1,
-                    name="t")
-    cap = capacity_blocks * 64
-    a = CacheSystem(topo, cap)
-    b = CacheSystem(topo, cap)
-    blocks = list(range(k))
-    for cs in (a, b):
-        # Peer-fill precondition: every block already held elsewhere —
-        # some by one peer, some by two (multi-holder eviction shapes).
-        for blk in blocks:
-            cs.fill(1, blk, nbytes)
-            if blk % 3 == 0:
-                cs.fill(2, blk, nbytes)
-        for i in range(pre):  # unrelated residents in the filling slice
-            cs.fill(0, 500 + i, 32)
-
-    ev0 = b.caches[0].evictions
-    for blk in blocks:
-        a.fill(0, blk, nbytes)
-    evicted = b.fill_run(0, blocks, nbytes, shared=True)
-
-    ca, cb = a.caches[0], b.caches[0]
-    assert list(ca._lru.items()) == list(cb._lru.items())
-    assert ca.used_bytes == cb.used_bytes
-    assert ca.evictions == cb.evictions
-    assert evicted == cb.evictions - ev0
-    assert {blk: frozenset(h) for blk, h in a.directory.items()} == \
-        {blk: frozenset(h) for blk, h in b.directory.items()}
-    assert b.check_directory_consistent()
 
 
 # -- Fill-latency histogram ---------------------------------------------------

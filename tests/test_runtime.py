@@ -1,5 +1,8 @@
 """End-to-end runtime semantics: ops, scheduling, migration, reporting."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.baselines.oslike import OsAsyncStrategy
@@ -149,6 +152,38 @@ def test_migration_via_policy():
     assert report.migrations > 0
     occupied = {machine.topo.chiplet_of_core(w.core) for w in rt.workers}
     assert len(occupied) > 1
+
+
+def test_finished_runtime_is_freed_without_cyclic_gc():
+    """A finished run leaves no Runtime <-> Worker cycle behind.
+
+    Dropping the runtime must free its machine (and with it the workers
+    and caches) by reference counting alone, so a sweep's peak memory
+    does not follow the cyclic collector's timing.
+    """
+    gc.disable()
+    try:
+        machine = milan(scale=64)
+        alive = weakref.ref(machine)
+        rt = Runtime(machine, 8, CharmStrategy(), seed=3)
+        del machine
+        shared = rt.alloc_shared(1 << 20, name="shared")
+
+        def body(wid):
+            for rounds in range(4):
+                yield AccessBatch(shared, list(range(rounds * 16, rounds * 16 + 16)))
+                yield YieldPoint()
+            return wid
+
+        for w in range(16):
+            rt.spawn(body, w)
+        report = rt.run()
+        assert report.tasks_completed == 16
+        assert alive() is not None
+        del rt
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_migration_denied_when_core_held():

@@ -16,7 +16,7 @@ strided runs.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.hw.machine import milan, sapphire_rapids, small_test_machine
 from repro.hw.memory import MemPolicy, _Server
@@ -206,8 +206,16 @@ def test_serve_constant_empty():
     pre=st.integers(0, 12),
     k=st.integers(1, 30),
     nbytes=st.integers(1, 200),
+    peer_held=st.integers(0, 12),
+    uniform=st.booleans(),
 )
-def test_fill_run_equivalent_to_sequential_fill(capacity_blocks, pre, k, nbytes):
+# A full uniform slice turned over exactly: the fast path, with no victim
+# shared and with one victim shared (it restores and takes the general
+# path).
+@example(capacity_blocks=4, pre=4, k=4, nbytes=64, peer_held=0, uniform=True)
+@example(capacity_blocks=4, pre=4, k=4, nbytes=64, peer_held=1, uniform=True)
+def test_fill_run_equivalent_to_sequential_fill(capacity_blocks, pre, k,
+                                                nbytes, peer_held, uniform):
     from repro.hw.cache import CacheSystem
     from repro.hw.topology import Topology
 
@@ -216,11 +224,15 @@ def test_fill_run_equivalent_to_sequential_fill(capacity_blocks, pre, k, nbytes)
     cap = capacity_blocks * 64
     a = CacheSystem(topo, cap)
     b = CacheSystem(topo, cap)
-    # Pre-populate with mixed-size residents so eviction prefixes cross
-    # entry boundaries at odd byte counts.
-    for i in range(pre):
-        a.fill(0, 1000 + i, 64 if i % 2 else 32)
-        b.fill(0, 1000 + i, 64 if i % 2 else 32)
+    # Pre-populate with residents sized like the run (``uniform``) or
+    # mixed-size, so eviction prefixes cross entry boundaries at odd byte
+    # counts.  The first ``peer_held`` of them chiplet 1 holds too, so
+    # their eviction keeps a directory entry alive.
+    for cs in (a, b):
+        for i in range(pre):
+            cs.fill(0, 1000 + i, nbytes if uniform else 64 if i % 2 else 32)
+            if i < peer_held:
+                cs.fill(1, 1000 + i, 64)
     blocks = list(range(k))
     evictions_before = b.caches[0].evictions  # prefill may itself evict
     for blk in blocks:

@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.wallclock import NULL_TRACE
 from repro.serve.observe import SLOW_REQUEST_S, ServeObservability
-from repro.serve.pool import BATCH_WINDOW_S, HOT_CACHE_SIZE, CellAnswerer
+from repro.serve.pool import HOT_CACHE_SIZE, CellAnswerer
 from repro.serve.query import QueryError, normalize_query
 from repro.serve.stats import ServerStats
 
@@ -63,7 +63,6 @@ class AdvisorServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, jobs: int = 0,
                  use_store: bool = True, hot_cache_size: int = HOT_CACHE_SIZE,
-                 batch_window_s: float = BATCH_WINDOW_S,
                  observability: bool = True, trace_sample: float = 0.0,
                  slow_threshold_s: float = SLOW_REQUEST_S):
         self.host = host
@@ -74,7 +73,7 @@ class AdvisorServer:
             slow_threshold_s=slow_threshold_s)
         self.answerer = CellAnswerer(
             jobs=jobs, use_store=use_store, hot_cache_size=hot_cache_size,
-            batch_window_s=batch_window_s, stats=self.stats, obs=self.obs)
+            stats=self.stats, obs=self.obs)
         self.obs.bind(self.answerer)
         self._server: Optional[asyncio.base_events.Server] = None
 
@@ -349,7 +348,6 @@ async def _amain(args: argparse.Namespace) -> int:
     server = AdvisorServer(
         host=args.host, port=args.port, jobs=args.jobs,
         use_store=not args.no_store, hot_cache_size=args.hot_cache,
-        batch_window_s=args.batch_window_ms / 1e3,
         observability=not args.no_obs, trace_sample=args.trace_sample,
         slow_threshold_s=args.slow_ms / 1e3)
     await server.start()
@@ -395,9 +393,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="serve from hot cache + simulation only")
     parser.add_argument("--hot-cache", type=int, default=HOT_CACHE_SIZE,
                         metavar="N", help="hot-cache capacity in entries")
-    parser.add_argument("--batch-window-ms", type=float,
-                        default=BATCH_WINDOW_S * 1e3, metavar="MS",
-                        help="batching window before packing queued cells")
     parser.add_argument("--trace-sample", type=float, default=0.0,
                         metavar="P",
                         help="probability a request is span-traced "

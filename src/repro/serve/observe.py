@@ -15,8 +15,8 @@ primitives into the serve stack's four surfaces:
   multi-window burn rates into ``/healthz`` (``degraded``) and
   ``/stats``;
 - the **flight recorder** collects slow requests, error responses,
-  store journal fallbacks, and pool restarts for ``GET /debug/flight``
-  and the shutdown dump.
+  store journal fallbacks, pool restarts, and failed cost-model
+  refreshes for ``GET /debug/flight`` and the shutdown dump.
 
 With ``enabled=False`` (``repro serve --no-obs``) every hook is a
 single attribute check and the observability routes answer 404 — the
@@ -46,7 +46,7 @@ __all__ = ["ServeObservability", "SLOW_REQUEST_S"]
 #: default slow-request threshold for the flight recorder (seconds)
 SLOW_REQUEST_S = 1.0
 
-#: batch-occupancy histogram boundaries (cells per batching window)
+#: batch-occupancy histogram boundaries (cells per dispatch round)
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 
 
@@ -96,10 +96,10 @@ class ServeObservability:
             "Advise request service latency")
         self.batch_cells = reg.histogram(
             "repro_serve_batch_cells",
-            "Cells drained per pool batching window",
+            "Cells drained per dispatch round",
             buckets=_BATCH_BUCKETS)
         reg.gauge("repro_serve_pool_queue_depth",
-                  "Cells queued for the batching dispatcher",
+                  "Cells waiting for the dispatcher to hand them to the pool",
                   fn=self._queue_depth)
         reg.gauge("repro_serve_hot_cache_entries",
                   "Entries resident in the in-process hot LRU",

@@ -12,10 +12,13 @@ One :class:`CellAnswerer` owns everything below the HTTP layer:
   configuration, answers from here.
 - **tier 3, simulation** — a persistent warm
   :class:`~concurrent.futures.ProcessPoolExecutor` running the exact
-  ``run_cell`` machinery of the sweep engine.  Cells queue into a short
-  batching window, are ordered longest-job-first by the sweep's cost
-  model, packed into chunks (amortizing executor IPC exactly like
-  ``repro.bench.sweep``), and fanned across the pool.
+  ``run_cell`` machinery of the sweep engine.  Dispatch is
+  work-conserving, with no timer on the path: the dispatcher hands a
+  queued cell to the pool the moment it arrives, together with anything
+  else already queued, ordered longest-job-first by the sweep's cost
+  model and packed into chunks (amortizing executor IPC exactly like
+  ``repro.bench.sweep``).  Chunks wait in the executor's FIFO behind
+  busy workers, and each free worker takes the next one.
 
 A :class:`~repro.serve.coalesce.SingleFlight` table sits in front of
 tiers 2–3: the first request for a key becomes the flight leader and
@@ -45,17 +48,12 @@ from repro.serve.stats import ServerStats
 if TYPE_CHECKING:  # pragma: no cover
     from repro.serve.observe import ServeObservability
 
-__all__ = ["CellAnswerer", "HOT_CACHE_SIZE", "BATCH_WINDOW_S"]
+__all__ = ["CellAnswerer", "HOT_CACHE_SIZE"]
 
 #: default hot-cache capacity (entries, not bytes — results are small)
 HOT_CACHE_SIZE = 4096
 
-#: how long the dispatcher waits after the first queued cell before
-#: packing a batch: long enough for concurrent requests' cells to land
-#: in the same chunk, short enough to be invisible next to simulation
-BATCH_WINDOW_S = 0.005
-
-#: hard cap on cells drained into one batching round
+#: hard cap on cells drained into one dispatch round
 MAX_BATCH_CELLS = 1024
 
 #: recalibrate the cost model from the store every this many batches
@@ -76,18 +74,16 @@ class CellAnswerer:
 
     def __init__(self, jobs: int = 0, use_store: bool = True,
                  hot_cache_size: int = HOT_CACHE_SIZE,
-                 batch_window_s: float = BATCH_WINDOW_S,
                  stats: Optional[ServerStats] = None,
                  obs: Optional["ServeObservability"] = None):
         self.jobs = sweep.resolve_jobs(jobs)
         self.use_store = use_store
-        self.batch_window_s = batch_window_s
         self.stats = stats or ServerStats()
         self._obs = obs
         self._hot: "OrderedDict[str, Any]" = OrderedDict()
         self._hot_capacity = hot_cache_size
         self._flight = SingleFlight()
-        # queue entries: (cell, key, trace, parent span, batch-window span)
+        # queue entries: (cell, key, trace, parent span, batch_window span)
         self._queue: "asyncio.Queue[Tuple[ExperimentCell, str, Any, int, int]]" \
             = asyncio.Queue()
         self._store = None
@@ -97,6 +93,7 @@ class CellAnswerer:
         self._chunk_tasks: "set[asyncio.Task]" = set()
         self._cost = CostModel()
         self._batches_since_calibration = 0
+        self._recalibration: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # -- lifecycle --------------------------------------------------------------
@@ -139,12 +136,17 @@ class CellAnswerer:
             except asyncio.CancelledError:
                 pass
             self._dispatcher = None
-        for task in list(self._chunk_tasks):
+        tasks = list(self._chunk_tasks)
+        if self._recalibration is not None:
+            tasks.append(self._recalibration)
+            self._recalibration = None
+        for task in tasks:
             task.cancel()
-        if self._chunk_tasks:
-            await asyncio.gather(*self._chunk_tasks, return_exceptions=True)
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
         while not self._queue.empty():
-            _, key, _, _, _ = self._queue.get_nowait()
+            _, key, trace, _, window_sid = self._queue.get_nowait()
+            trace.end(window_sid)
             self._flight.resolve(key, error=RuntimeError("server shutting down"))
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
@@ -220,14 +222,16 @@ class CellAnswerer:
         self.stats.cell_answered("computed")
         return result, "computed"
 
-    # -- tier 3: batching dispatcher -------------------------------------------
+    # -- tier 3: work-conserving dispatcher ------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        """Drain queued cells into LJF-ordered packed chunks, forever."""
+        """Drain queued cells into LJF-ordered packed chunks, forever.
+
+        A cell leaves as soon as the loop wakes for it, with whatever
+        else is queued by then: the executor, not a timer, holds chunks
+        back while every worker is busy."""
         while True:
             batch = [await self._queue.get()]
-            if self.batch_window_s > 0:
-                await asyncio.sleep(self.batch_window_s)
             while len(batch) < MAX_BATCH_CELLS and not self._queue.empty():
                 batch.append(self._queue.get_nowait())
             for _, _, trace, _, window_sid in batch:
@@ -235,12 +239,7 @@ class CellAnswerer:
             if self._obs is not None:
                 self._obs.on_batch(len(batch))
             self._submit_batch(batch)
-            self._batches_since_calibration += 1
-            if (self._store is not None
-                    and self._batches_since_calibration >= _COST_REFRESH_EVERY):
-                self._batches_since_calibration = 0
-                self._cost = await self._loop.run_in_executor(
-                    self._io, CostModel.from_store, self._store)
+            self._maybe_recalibrate()
 
     def _submit_batch(
             self, batch: List[Tuple[ExperimentCell, str, Any, int, int]]) -> None:
@@ -254,6 +253,27 @@ class CellAnswerer:
             task = asyncio.create_task(self._run_chunk(entries))
             self._chunk_tasks.add(task)
             task.add_done_callback(self._chunk_tasks.discard)
+
+    def _maybe_recalibrate(self) -> None:
+        """Every so many batches, refresh the cost model from the store
+        in the background (one refresh at a time): the SQLite scan never
+        stalls the dispatch of queued cells."""
+        self._batches_since_calibration += 1
+        if (self._store is None
+                or self._batches_since_calibration < _COST_REFRESH_EVERY
+                or (self._recalibration is not None
+                    and not self._recalibration.done())):
+            return
+        self._batches_since_calibration = 0
+        self._recalibration = asyncio.create_task(self._recalibrate())
+
+    async def _recalibrate(self) -> None:
+        try:
+            self._cost = await self._loop.run_in_executor(
+                self._io, CostModel.from_store, self._store)
+        except Exception as exc:  # keep dispatching on the previous model
+            if self._obs is not None and self._obs.enabled:
+                self._obs.flight.record("cost_refresh_error", error=repr(exc))
 
     async def _run_chunk(
             self, entries: List[Tuple[ExperimentCell, str, Any, int]]) -> None:
@@ -334,6 +354,6 @@ class CellAnswerer:
             "hot_cache_capacity": self._hot_capacity,
             "inflight_keys": len(self._flight),
             "queued_cells": self._queue.qsize(),
-            "batch_window_ms": self.batch_window_s * 1e3,
+            "chunks_in_flight": len(self._chunk_tasks),
             "store": self.use_store,
         }

@@ -29,7 +29,7 @@ QUERY = {
 
 @pytest.fixture(scope="module")
 def server():
-    with ServerThread(jobs=1, use_store=False, batch_window_s=0.001) as srv:
+    with ServerThread(jobs=1, use_store=False) as srv:
         yield srv
 
 
@@ -159,8 +159,7 @@ def test_flight_recorder_captures_induced_400(server):
 
 
 def test_flight_recorder_slow_threshold():
-    with ServerThread(jobs=1, use_store=False, batch_window_s=0.001,
-                      slow_threshold_s=0.0) as srv:
+    with ServerThread(jobs=1, use_store=False, slow_threshold_s=0.0) as srv:
         async def go(client):
             status, _ = await client.post("/advise", QUERY)
             assert status == 200
@@ -195,8 +194,7 @@ def test_stats_has_labeled_reservoir_and_windowed_views(server):
 
 
 def test_no_obs_server_disables_surfaces():
-    with ServerThread(jobs=1, use_store=False, batch_window_s=0.001,
-                      observability=False) as srv:
+    with ServerThread(jobs=1, use_store=False, observability=False) as srv:
         async def go(client):
             status, doc = await client.post(
                 "/advise", QUERY, headers={"X-Repro-Trace": "1"})
@@ -219,7 +217,7 @@ def test_no_obs_server_disables_surfaces():
 def test_loadgen_trace_sample_and_slo_report():
     from repro.bench.loadgen import run_load
 
-    with ServerThread(jobs=1, use_store=False, batch_window_s=0.001) as srv:
+    with ServerThread(jobs=1, use_store=False) as srv:
         async def go():
             return await run_load(srv.url, requests=12, concurrency=4,
                                   dup_ratio=0.5, trace_sample=0.5,

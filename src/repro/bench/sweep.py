@@ -126,8 +126,7 @@ def get_store() -> ResultStore:
 
     Opened lazily (``--no-cache`` runs never create the directory) and
     reopened whenever ``REPRO_SWEEP_CACHE`` points somewhere new — tests
-    repoint it per-case.  Opening migrates any legacy one-JSON-per-cell
-    entries (pre-store layout) into the SQLite file.
+    repoint it per-case.
     """
     global _STORE, _STORE_DIR
     d = cache_dir()

@@ -9,7 +9,9 @@ with numpy array operations instead:
   pure latency, never on queue backpressure, so they are known up front);
 - each memory channel / fabric link / cross-socket link replays its
   max-plus queue recurrence ``free = max(free, t_i) + s`` over the batch's
-  arrivals grouped by server (:func:`serve_constant`);
+  arrivals grouped by server: :func:`serve_constant` for one server
+  (head-drain or busy-period by busy-period), :func:`serve_groups` for
+  many at once (one matrix pass when every group is head-drain shaped);
 - LRU insert/evict and directory updates are bulk operations
   (:meth:`repro.hw.cache.CacheSystem.fill_run`).
 
@@ -57,7 +59,7 @@ of whole-run array ops plus O(channels) scalar accounting.
 
 from bisect import bisect_left, insort
 from collections import deque
-from itertools import islice, repeat
+from itertools import repeat
 from math import gcd
 from typing import List, Optional, Tuple
 
@@ -85,12 +87,6 @@ _LUT_SRC = np.array(
 # overhead dominates.
 _CHAIN_LOOP_MAX = 48
 
-# The breadth-first period replay chains *all* busy periods at once with
-# one vector add per queue position, so its cost is ~6 numpy ops per
-# *longest* period instead of per period.  Past this depth a single
-# dense period is cheaper through the per-period cumsum.
-_SERVE_VEC_MAX_DEPTH = 32
-
 
 def _chain(x0: float, m: int, s: float) -> float:
     """Endpoint of ``m`` sequential ``x0 += s`` updates, bit-exactly.
@@ -107,11 +103,6 @@ def _chain(x0: float, m: int, s: float) -> float:
     acc[0] = x0
     acc[1:] = s
     return float(acc.cumsum()[-1])
-
-
-def _accumulate_busy(server, m: int, s: float) -> None:
-    """Replay ``m`` sequential ``busy_ns += s`` updates, bit-exactly."""
-    server.busy_ns = _chain(server.busy_ns, m, s)
 
 
 def _per_row(mat, first: int, m: int, rem: int) -> list:
@@ -152,14 +143,15 @@ def serve_groups(servers: list, t: np.ndarray, bounds: np.ndarray,
     bit-identically, including all server-state updates — but the cost
     is one set of numpy ops over a ``groups x longest-group`` matrix
     instead of ~a dozen ops *per group*.  The servers must be pairwise
-    distinct (each row's state evolves independently).
+    distinct (each row's state evolves independently) and every group
+    non-empty.
 
-    The matrix path requires a row to be head-drain shaped (arrivals
+    The matrix path requires every row to be head-drain shaped (arrivals
     spaced at least ``s_row[g]`` apart, so any queue backlog carried in
     from earlier batches only shrinks): the row chain is then a seeded
-    row cumsum up to the drain point and plain ``t + s`` after it.
-    Internally dense rows are served by :func:`serve_constant`
-    individually; the returned delay vector always covers every group.
+    row cumsum up to the drain point and plain ``t + s`` after it.  A
+    row that starts idle drains at its first arrival.  If any row is
+    dense, every group is served by :func:`serve_constant` instead.
     """
     ng = len(servers)
     length = np.diff(bounds)
@@ -169,62 +161,18 @@ def serve_groups(servers: list, t: np.ndarray, bounds: np.ndarray,
     tm = np.full((ng, max_l), np.inf)
     tm[valid] = t
     sg = s_row[:, None]
-    if max_l > 1:
-        # +inf padding makes every pad gap trivially ok.
-        ok = (tm[:, 1:] >= tm[:, :-1] + sg).all(axis=1)
-        all_ok = bool(ok.all())
-    else:
-        all_ok = True
-    d_out = None
-    if not all_ok:
-        # Dense rows replay through the sequential server; the matrix
-        # path below then runs on the surviving head-drain rows only.
+    # +inf padding makes every pad gap trivially head-drain shaped.
+    if max_l > 1 and not bool((tm[:, 1:] >= tm[:, :-1] + sg).all()):
         d_out = np.empty(t.shape[0])
-        for g in np.flatnonzero(~ok).tolist():
+        for g, sv in enumerate(servers):
             lo, hi = int(bounds[g]), int(bounds[g + 1])
-            d_out[lo:hi], _ = serve_constant(servers[g], t[lo:hi],
-                                             float(s_row[g]))
-        if not bool(ok.any()):
-            return d_out
-        keep = np.repeat(ok, length)
-        servers = [sv for g, sv in enumerate(servers) if ok[g]]
-        tm = tm[ok]
-        valid = valid[ok]
-        length = length[ok]
-        sg = sg[ok]
-        ng = len(servers)
-        max_l = int(length.max())
-        if max_l < tm.shape[1]:
-            tm = tm[:, :max_l]
-            valid = valid[:, :max_l]
-            col = col[:max_l]
+            d_out[lo:hi], _ = serve_constant(sv, t[lo:hi], float(s_row[g]))
+        return d_out
     rows = _arange(ng)
     heads = tm[:, 0]
     attrs = np.fromiter((x for sv in servers
                          for x in (sv.free_at, sv.busy_ns, sv.wait_ns)),
                         dtype=np.float64, count=3 * ng).reshape(ng, 3)
-    if bool((attrs[:, 0] <= heads).all()):
-        # Every row starts idle and stays idle (arrivals spaced >= s):
-        # each arrival departs at ``t + s`` with zero wait, so the wait
-        # chain adds +0.0 per arrival — a bitwise no-op on the
-        # non-negative accumulator — and only the busy chain needs a
-        # sequential replay.
-        fm = tm + sg
-        am = np.empty((ng, max_l + 1))
-        am[:, 0] = attrs[:, 1]
-        am[:, 1:] = sg
-        np.cumsum(am, axis=1, out=am)
-        busy_end = am[rows, length].tolist()
-        free_end = fm[rows, length - 1].tolist()
-        len_l = length.tolist()
-        for g, sv in enumerate(servers):
-            sv.free_at = free_end[g]
-            sv.busy_ns = busy_end[g]
-            sv.requests += len_l[g]
-        if d_out is None:
-            return fm[valid] - t
-        d_out[keep] = fm[valid] - t[keep]
-        return d_out
     start0 = np.maximum(attrs[:, 0], heads)
     # Candidate finishes assuming each row stays queued: the exact
     # sequential ``+= s`` chain, seeded per row, replayed left-to-right
@@ -276,10 +224,7 @@ def serve_groups(servers: list, t: np.ndarray, bounds: np.ndarray,
         sv.busy_ns = busy_end[g]
         sv.wait_ns = wait_end[g]
         sv.requests += len_l[g]
-    if d_out is None:
-        return fm[valid] - t
-    d_out[keep] = fm[valid] - t[keep]
-    return d_out
+    return fm[valid] - t
 
 
 def serve_constant(server, t: np.ndarray, s: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -289,127 +234,63 @@ def serve_constant(server, t: np.ndarray, s: float) -> Tuple[np.ndarray, np.ndar
     including the server's ``free_at`` / ``busy_ns`` / ``wait_ns`` /
     ``requests`` updates.  Returns ``(total_delay, queue_wait)`` arrays.
 
-    Within one busy period the scalar recurrence degenerates to repeated
+    Two regimes.  A single arrival, or a batch whose arrivals are spaced
+    at least ``s`` apart, is *head-drain* shaped: any backlog carried in
+    from earlier batches only shrinks, so once one arrival finds the
+    server idle every later one does too (an idle server drains at the
+    first arrival).  Every other batch is replayed one busy period at a
+    time: within a period the scalar recurrence degenerates to repeated
     addition of ``s`` — reproduced exactly by a seeded ``np.cumsum`` — so
-    the only sequential work left is locating busy-period boundaries:
-    one numpy comparison per period (and a single vectorized check when
-    the server never queues at all).
+    the only sequential work left is one numpy comparison per period to
+    find where it ends.
     """
     m = t.shape[0]
     if m == 0:
         return np.empty(0), np.empty(0)
     free = server.free_at
-    # Fast path: no queueing anywhere in the batch (idle server at every
-    # arrival).  ``t[i] >= t[i-1] + s`` uses the exact finish values the
-    # scalar loop would compare against.
-    n_gaps = 0
-    if m > 1:
-        gaps = t[1:] >= t[:-1] + s
-        if bool(gaps.all()):
-            if free <= t[0]:
-                f = t + s
-                server.free_at = float(f[-1])
-                server.requests += m
-                _accumulate_busy(server, m, s)
-                # Every wait is ``t[i] - t[i] == +0.0`` and the scalar
-                # chain ``wait_ns += 0.0`` leaves a non-negative
-                # accumulator bit-unchanged.
-                return f - t, np.zeros(m)
-            # Head-drain: the server starts busy (carryover from an
-            # earlier batch) but arrivals are spaced >= s apart, so the
-            # backlog only shrinks — once one arrival finds the server
-            # idle, every later one does too.  The busy head is one
-            # seeded cumsum (the exact ``+= s`` chain); everything after
-            # the drain point is a plain idle ``t + s``.
-            c = np.empty(m)
-            c[0] = free + s
-            c[1:] = s
-            c = np.cumsum(c)
+    # ``t[i] >= t[i-1] + s`` uses the exact finish values the scalar loop
+    # would compare against.
+    if m == 1 or bool((t[1:] >= t[:-1] + s).all()):
+        # The busy head is one seeded cumsum (the exact ``+= s`` chain);
+        # everything after the drain point is a plain idle ``t + s``.
+        t0 = float(t[0])
+        start0 = free if free > t0 else t0
+        c = np.empty(m)
+        c[0] = start0 + s
+        c[1:] = s
+        c = np.cumsum(c)
+        j = m
+        if m > 1:
             drained = c[:-1] <= t[1:]
             # argmax == 0 is ambiguous (drain at 1 vs never): one scalar
             # probe resolves it without a second full scan.
             j0 = int(np.argmax(drained))
-            j = j0 + 1 if (j0 or bool(drained[0])) else m
-            f = np.empty(m)
-            f[:j] = c[:j]
-            w = np.empty(m)
-            w[0] = free - t[0]
-            w[1:j] = c[: j - 1] - t[1:j]
-            if j < m:
-                f[j:] = t[j:] + s
-                w[j:] = 0.0
-            server.free_at = float(f[-1])
-            server.requests += m
-            # One stacked cumsum replays both accumulator chains (the
-            # busy ``+= s`` chain and the wait chain) row-by-row — the
-            # same left-to-right float adds as two separate chains.
-            acc = np.empty((2, m + 1))
-            acc[0, 0] = server.busy_ns
-            acc[0, 1:] = s
-            acc[1, 0] = server.wait_ns
-            acc[1, 1:] = w
-            np.cumsum(acc, axis=1, out=acc)
-            server.busy_ns = float(acc[0, -1])
-            server.wait_ns = float(acc[1, -1])
-            return f - t, w
-        # Idle gaps under the no-queue assumption estimate busy-period
-        # starts (queue carryover only merges periods, never adds any).
-        n_gaps = int(np.count_nonzero(gaps))
-    elif free <= t[0]:
-        f = t + s
+            if j0 or bool(drained[0]):
+                j = j0 + 1
+        f = np.empty(m)
+        f[:j] = c[:j]
+        w = np.empty(m)
+        w[0] = start0 - t0
+        w[1:j] = c[: j - 1] - t[1:j]
+        if j < m:
+            f[j:] = t[j:] + s
+            # Idle waits are ``+0.0``: the scalar chain ``wait_ns += 0.0``
+            # leaves a non-negative accumulator bit-unchanged.
+            w[j:] = 0.0
         server.free_at = float(f[-1])
-        server.requests += 1
-        _accumulate_busy(server, 1, s)
-        return f - t, np.zeros(1)
-    if n_gaps and m >= 10:
-        # Breadth-first period replay: chain every provisional busy
-        # period simultaneously, one ``+= s`` vector add per queue depth
-        # — the same left-to-right float accumulation as the scalar loop,
-        # applied to all period heads at once.  Provisional starts (idle
-        # gaps) are a superset of true starts, so the result is valid iff
-        # every provisional start really found the server idle; that is
-        # checked before any state is touched, falling back to the exact
-        # sequential paths below when queue backlog carried across a gap.
-        ps = np.empty(n_gaps + 1, dtype=np.int64)
-        ps[0] = 0
-        ps[1:] = np.flatnonzero(gaps) + 1
-        ends = np.empty(n_gaps + 1, dtype=np.int64)
-        ends[:-1] = ps[1:]
-        ends[-1] = m
-        if int((ends - ps).max()) <= _SERVE_VEC_MAX_DEPTH:
-            bases = t[ps]
-            if free > t[0]:
-                bases[0] = free
-            curq = bases + s
-            f = np.empty(m)
-            w = np.zeros(m)
-            f[ps] = curq
-            if free > t[0]:
-                w[0] = free - t[0]
-            pos = ps + 1
-            en = ends
-            while True:
-                alive = pos < en
-                if not bool(alive.all()):
-                    pos = pos[alive]
-                    if not pos.size:
-                        break
-                    en = en[alive]
-                    curq = curq[alive]
-                prev = curq           # = free before this arrival (queued)
-                curq = curq + s
-                f[pos] = curq
-                w[pos] = prev - t[pos]
-                pos = pos + 1
-            if bool((f[ps[1:] - 1] <= t[ps[1:]]).all()):
-                server.free_at = float(f[-1])
-                server.requests += m
-                _accumulate_busy(server, m, s)
-                acc = np.empty(m + 1)
-                acc[0] = server.wait_ns
-                acc[1:] = w
-                server.wait_ns = float(np.cumsum(acc)[-1])
-                return f - t, w
+        server.requests += m
+        # One stacked cumsum replays both accumulator chains (the busy
+        # ``+= s`` chain and the wait chain) row-by-row — the same
+        # left-to-right float adds as two separate chains.
+        acc = np.empty((2, m + 1))
+        acc[0, 0] = server.busy_ns
+        acc[0, 1:] = s
+        acc[1, 0] = server.wait_ns
+        acc[1, 1:] = w
+        np.cumsum(acc, axis=1, out=acc)
+        server.busy_ns = float(acc[0, -1])
+        server.wait_ns = float(acc[1, -1])
+        return f - t, w
     f = np.empty(m)
     start = np.empty(m)
     i = 0
@@ -435,7 +316,7 @@ def serve_constant(server, t: np.ndarray, s: float) -> Tuple[np.ndarray, np.ndar
         i = j
     server.free_at = float(f[-1])
     server.requests += m
-    _accumulate_busy(server, m, s)
+    server.busy_ns = _chain(server.busy_ns, m, s)
     # wait_ns accumulates one += w per request; a seeded cumsum replays
     # that chain in order, bit-exactly.
     wait = start - t
@@ -687,19 +568,14 @@ def _certify_evictions(slot_map, len0: int, maxlen: int, nu: int,
     fill the scalar loop performs (they appear both as victims and as
     fills).  Returns ``None`` when the batch's fills would evict the
     batch's own blocks — the regime :func:`_replay_batch` services.
+    With no resident batch block the walk is empty and the victims are
+    the oldest entries.
     """
     if nu > maxlen:
         return None  # the batch alone outgrows the slice
     n_res0 = int(np.count_nonzero(res_u))
     if len0 + (nu - n_res0) <= maxlen:
         return [], []
-    if n_res0 == 0:
-        # No resident batch block can be disturbed: victims are exactly
-        # the E oldest entries.
-        E = len0 + nu - maxlen
-        if E > len0:
-            return None
-        return list(islice(slot_map, E)), []
     # Only resident uniques interact with the eviction frontier: every
     # other unique just advances it by one (once ``room`` runs out).
     # Walk the residents alone — in first-touch order, tracking how many

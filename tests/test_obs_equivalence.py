@@ -10,7 +10,7 @@ never writes.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.machine import milan, sapphire_rapids, small_test_machine
@@ -58,6 +58,12 @@ def _make_plan(rng: np.random.Generator, n_workers: int, region_blocks: int):
             else:
                 ops.append(("compute", float(rng.integers(1_000, 40_000))))
         plan.append(ops)
+    if all(op[0] == "compute" for ops in plan for op in ops):
+        # A compute-only plan touches no memory, so the observed run
+        # would have no hw/cache event to emit: keep the workload mixed.
+        start = int(rng.integers(0, region_blocks // 2))
+        count = int(rng.integers(4, region_blocks - start))
+        plan[0].append(("run", start, count))
     return plan
 
 
@@ -96,6 +102,7 @@ def _state(rt: Runtime, report) -> dict:
 
 @pytest.mark.parametrize("machine_fn,n_workers", MACHINES)
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=178889212)  # draws only compute ops before the top-up
 @settings(max_examples=5, deadline=None)
 def test_telemetry_is_bit_identical(machine_fn, n_workers, seed):
     region_blocks = 256

@@ -194,26 +194,6 @@ def test_stats_throughput_properties():
     assert d["cells_per_sec"] == 2.0 and d["pool_efficiency"] == 0.75
 
 
-def test_legacy_json_cache_migrates_into_store(cache, tmp_path):
-    import json as _json
-
-    # fabricate a PR 2-era cache: one <key>.json per cell
-    cell = _cell()
-    key = sweep.cache_key(cell)
-    cache.mkdir(parents=True)
-    legacy_doc = {"cell_id": cell.cell_id, "cell": cell.config(),
-                  "code_version": sweep.code_version(),
-                  "result": {"metric": 1.25}}
-    (cache / f"{key}.json").write_text(_json.dumps(legacy_doc))
-    (cache / "garbage.json").write_text("{not json")
-    sweep._STORE = None  # force a fresh open → migration
-    hit, result = sweep.load_cached(cell)
-    assert hit and result == {"metric": 1.25}
-    assert not (cache / f"{key}.json").exists()  # imported and removed
-    assert (cache / "garbage.json").exists()     # unparsable: left alone
-    assert sweep.get_store().migrated == 1
-
-
 def test_run_many_pools_cells_across_experiments(cache):
     out, stats = sweep.run_many(["fig04_channels", "fig03_latency_cdf"], jobs=1)
     assert [name for name, _, _ in out] == ["fig04_channels", "fig03_latency_cdf"]

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.hw.machine import milan, sapphire_rapids, small_test_machine
 from repro.hw.memory import MemPolicy, _Server
-from repro.hw.vector import serve_constant
+from repro.hw.vector import serve_constant, serve_groups
 from tests.twins import assert_same_state, scalar_batch
 
 MACHINES = {
@@ -166,6 +166,13 @@ def test_access_run_empty_is_noop(tiny):
 # -- serve_constant vs sequential _Server.service ----------------------------
 
 @settings(max_examples=60, deadline=None)
+# One arrival on an idle server.
+@example(gaps=[1.0], s=5.0, free0=0.0, t0=10.0)
+# Arrivals spaced >= s apart on an idle server.
+@example(gaps=[10.0] * 6, s=5.0, free0=0.0, t0=10.0)
+# Twelve arrivals in four short busy periods, idle and busy carry-in.
+@example(gaps=[1.0, 1.0, 20.0] * 4, s=5.0, free0=0.0, t0=0.0)
+@example(gaps=[1.0, 1.0, 20.0] * 4, s=5.0, free0=12.0, t0=0.0)
 @given(
     gaps=st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1, max_size=40),
     s=st.floats(0.1, 30.0, allow_nan=False),
@@ -189,6 +196,57 @@ def test_serve_constant_replays_scalar_server(gaps, s, free0, t0):
     assert vec.busy_ns == ref.busy_ns
     assert vec.wait_ns == ref.wait_ns
     assert vec.requests == ref.requests
+
+
+@st.composite
+def server_groups(draw):
+    """1-6 distinct servers, each with its own service time, carry-in
+    state and arrival group: a singleton, arrivals spaced at least the
+    service time apart, or (when ``dense`` is drawn) a dense group."""
+    dense = draw(st.booleans())
+    kinds = ["singleton", "spaced"] + (["dense"] if dense else [])
+    groups = []
+    for _ in range(draw(st.integers(1, 6))):
+        s = draw(st.floats(0.1, 30.0))
+        kind = draw(st.sampled_from(kinds))
+        n = 1 if kind == "singleton" else draw(st.integers(2, 12))
+        t = [draw(st.floats(0.0, 100.0))]
+        for _ in range(n - 1):
+            lo, hi = (0.0, s / 2) if kind == "dense" else (s, s + 20.0)
+            t.append(t[-1] + draw(st.floats(lo, hi)))
+        if draw(st.booleans()):
+            free0 = t[0] + draw(st.floats(0.0, 100.0))  # busy carry-in
+        else:
+            free0 = draw(st.floats(0.0, t[0]))           # idle carry-in
+        seeds = (free0, draw(st.floats(0.0, 1e4)), draw(st.floats(0.0, 1e4)),
+                 draw(st.integers(0, 50)))
+        groups.append((s, t, seeds))
+    return groups
+
+
+def _seeded_server(seeds):
+    srv = _Server()
+    srv.free_at, srv.busy_ns, srv.wait_ns, srv.requests = seeds
+    return srv
+
+
+@settings(max_examples=80, deadline=None)
+@given(groups=server_groups())
+def test_serve_groups_replays_scalar_servers(groups):
+    """serve_groups == one sequential ``_Server.service`` chain per group:
+    every delay and every server's free_at/busy_ns/wait_ns/requests."""
+    refs = [_seeded_server(seeds) for _, _, seeds in groups]
+    vecs = [_seeded_server(seeds) for _, _, seeds in groups]
+    exp_d = [ref.service(ti, s)[0]
+             for ref, (s, t, _) in zip(refs, groups) for ti in t]
+    t_all = np.array([ti for _, t, _ in groups for ti in t])
+    bounds = np.cumsum([0] + [len(t) for _, t, _ in groups])
+    s_row = np.array([s for s, _, _ in groups])
+    got_d = serve_groups(vecs, t_all, bounds, s_row)
+    assert np.array_equal(got_d, np.array(exp_d))
+    for ref, vec in zip(refs, vecs):
+        assert (vec.free_at, vec.busy_ns, vec.wait_ns, vec.requests) == \
+            (ref.free_at, ref.busy_ns, ref.wait_ns, ref.requests)
 
 
 def test_serve_constant_empty():

@@ -212,7 +212,7 @@ class Machine:
         """
         shift = Region._KEY_SHIFT
         rid = region.region_id
-        resident = [k for k in self.caches._dir_slot if k >> shift == rid]
+        resident = [k for k in self.caches._dir if k >> shift == rid]
         drop = self.caches.drop_everywhere
         for key in resident:
             drop(key)
@@ -421,7 +421,7 @@ class Machine:
                 and region.policy is not MemPolicy.REPLICATED):
             chiplet = self._chiplet_of_core[core]
             cache = self.caches.caches[chiplet]
-            lru = cache._slot
+            lru = cache._lru
             k0 = (region.region_id << Region._KEY_SHIFT) + start
             if (len(lru) >= count
                     and next(reversed(lru)) == k0 + count - 1
@@ -623,7 +623,7 @@ class Machine:
         case this guard misses).
         """
         caches = self.caches
-        dir_slot = caches._dir_slot
+        d = caches._dir
         cache = caches.caches[chiplet]
         keys_list = keys.tolist()
         n = len(keys_list)
@@ -631,9 +631,9 @@ class Machine:
         # batch resident nowhere (one C-level disjointness check) and a
         # hot read batch fully resident in the requester's slice (one
         # C-level superset check).
-        if not dir_slot or dir_slot.keys().isdisjoint(keys_list):
+        if not d or d.keys().isdisjoint(keys_list):
             runs: Sequence[Tuple[int, int, int]] = ((_MISS, 0, n),)
-        elif not write and cache._slot.keys() >= set(keys_list):
+        elif not write and cache._lru.keys() >= set(keys_list):
             runs = ((_HIT, 0, n),)
         else:
             runs = self._classify_runs(chiplet, keys_list, write)
@@ -701,18 +701,16 @@ class Machine:
         sharers).  One directory lookup per key.
         """
         caches = self.caches
-        dir_slot_get = caches._dir_slot.get
-        mask_col = caches._dir_mask
+        dir_get = caches._dir.get
         bit = 1 << chiplet
         runs: List[Tuple[int, int, int]] = []
         cur = _SCALAR - 1  # sentinel unequal to every real label
         r0 = 0
         for i, k in enumerate(keys_list):
-            s = dir_slot_get(k)
-            if s is None:
+            m = dir_get(k)
+            if m is None:
                 lab = _MISS
             else:
-                m = int(mask_col[s])
                 lab = _HIT if m & bit and (not write or m == bit) else _SCALAR
             if lab != cur:
                 if i:
@@ -773,10 +771,10 @@ class Machine:
 
         caches = self.caches
         cache = caches.caches[chiplet]
-        lru = cache._slot
+        lru = cache._lru
         lru_pop = lru.pop
         fill_lat = self._fill_lat
-        dir_slot_get = caches._dir_slot.get
+        dir_get = caches._dir.get
         my_bit = 1 << chiplet
         smask = caches._socket_mask[my_socket]
         cache_fill = caches.fill
@@ -797,10 +795,10 @@ class Machine:
                 )
             key = key_base | block
 
-            slot = lru_pop(key, None)
-            if slot is not None:
+            size = lru_pop(key, None)
+            if size is not None:
                 # Local L3 hit; re-inserting refreshes recency.
-                lru[key] = slot
+                lru[key] = size
                 hits += 1
                 if write:
                     inval = invalidate_others(chiplet, key)
@@ -821,16 +819,12 @@ class Machine:
             # Directory lookup: minimum-id holder per distance class, the
             # same deterministic rule as CacheSystem.find_holder — lowest
             # set bit of the same-socket subset, else of the whole mask.
-            ds = dir_slot_get(key)
+            m = dir_get(key, 0) & ~my_bit
             holder = None
-            if ds is not None:
-                # Re-fetch the column per access: fills in this loop may
-                # grow (reallocate) the directory's mask array.
-                m = int(caches._dir_mask[ds]) & ~my_bit
-                if m:
-                    same = m & smask
-                    cand = same if same else m
-                    holder = (cand & -cand).bit_length() - 1
+            if m:
+                same = m & smask
+                cand = same if same else m
+                holder = (cand & -cand).bit_length() - 1
 
             if holder is not None:
                 # Fill from a peer chiplet's L3.
@@ -1159,6 +1153,12 @@ class MachineGeometry:
             problems.append(
                 f"link_latency_scale must be in (0, {self._MAX_LINK_SCALE}], "
                 f"got {self.link_latency_scale}")
+        if self.sockets * self.chiplets_per_socket > 63:
+            # The cache directory and the vector kernels hold one int64
+            # holder bit per chiplet.
+            problems.append(
+                f"sockets * chiplets_per_socket must be <= 63, got "
+                f"{self.sockets * self.chiplets_per_socket}")
         if problems:
             raise ValueError(f"invalid MachineGeometry: {'; '.join(problems)}")
 

@@ -553,7 +553,7 @@ def _peer_holders(machine, chiplet: int,
     return holders, np.where(socket_of[holders] == my_socket, 3, 4)
 
 
-def _certify_evictions(slot_map, len0: int, maxlen: int, nu: int,
+def _certify_evictions(lru, len0: int, maxlen: int, nu: int,
                        res_u: np.ndarray, first_pos: np.ndarray,
                        ukeys: np.ndarray):
     """Unique-level eviction interleaving of a batch that fits the slice.
@@ -589,7 +589,7 @@ def _certify_evictions(slot_map, len0: int, maxlen: int, nu: int,
     # ``n_res0`` is batch-bounded and small, so per-resident C-level
     # ``list.index`` scans beat building sorted numpy key arrays (every
     # resident key is in the slice by the directory invariant).
-    kl = list(slot_map)
+    kl = list(lru)
     ord1 = np.argsort(first_pos)
     rpos = res_u[ord1].nonzero()[0]
     r_idx_o = ord1[rpos]
@@ -658,10 +658,11 @@ def gather_segment(
     The irregular-access kernel: where the segment kernels above need a
     long run of one service class, this one takes the batch exactly as
     the workload issued it — random order, repeats and all.  One stable
-    **argsort** groups the repeats, each *unique* block is looked up once
-    in the directory's bitmask column, and then one of two classifiers
-    assigns every access its service class (0 resident hit, 1/2 local /
-    remote DRAM fill, 3/4 same / cross-socket peer fill):
+    **argsort** groups the repeats, each *unique* block's holder mask is
+    read once from the directory (one C-level ``dict.get`` map), and then
+    one of two classifiers assigns every access its service class (0
+    resident hit, 1/2 local / remote DRAM fill, 3/4 same / cross-socket
+    peer fill):
 
     - **unique-level certificate** (batches that fit the slice): an
       eviction-interleaving simulation at the unique level
@@ -699,8 +700,8 @@ def gather_segment(
     cap = cache.capacity_bytes
     if nb > cap:
         return None
-    slot_map = cache._slot
-    len0 = len(slot_map)
+    lru = cache._lru
+    len0 = len(lru)
     if len0 and cache._uniform_nb != nb:
         return None
     if cache.used_bytes != len0 * nb:
@@ -723,19 +724,15 @@ def gather_segment(
     ukeys = keys[first_pos]
     ukeys_list = ukeys.tolist()
 
-    # -- classify uniques from the directory bitmask column -----------------
-    dir_slot = caches._dir_slot
-    dslots = np.fromiter(map(dir_slot.get, ukeys_list, repeat(-1)),
-                         dtype=np.int64, count=nu)
-    present = dslots >= 0
-    masks = np.zeros(nu, dtype=np.int64)
-    masks[present] = caches._dir_mask[dslots[present]]
+    # -- classify uniques from their directory holder masks ------------------
+    masks = np.fromiter(map(caches._dir.get, ukeys_list, repeat(0)),
+                        dtype=np.int64, count=nu)
     nbit = np.int64(1 << chiplet)
     res_u = (masks & nbit) != 0  # resident in requester's slice (invariant)
     others = masks & ~nbit
 
     maxlen = cap // nb
-    cert = _certify_evictions(slot_map, len0, maxlen, nu, res_u, first_pos,
+    cert = _certify_evictions(lru, len0, maxlen, nu, res_u, first_pos,
                               ukeys)
     if cert is None:
         if not has_dups and bool((arr[1:] > arr[:-1]).all()):
@@ -743,7 +740,7 @@ def gather_segment(
         uid = np.empty(n, dtype=np.int64)
         uid[perm] = np.cumsum(newgrp) - 1
         _replay_batch(machine, region, chiplet, my_node, maxlen, nb, keys,
-                      uid, first_pos, ublocks, ukeys, ukeys_list, dslots,
+                      uid, first_pos, ublocks, ukeys, ukeys_list, masks,
                       others, t0, req_bytes, write, per_issue_ns, mlp, lats,
                       counts, state)
         return has_dups
@@ -775,43 +772,28 @@ def gather_segment(
                       req_bytes, per_issue_ns, mlp, lats, counts, state)
 
     # -- LRU writeback: untouched originals keep their order; the batch's
-    # unique blocks re-enter at the tail in last-occurrence order (hits
-    # carry their slot along, fills take the victims' slots, sized nb
-    # already because the slice was uniformly nb-sized on entry, and only
-    # overflow into the free stack).
+    # unique blocks re-enter at the tail in last-occurrence order, every
+    # one ``nb`` bytes like the (uniformly sized) slice they join.
     nv = len(victims)
-    vict_slots = np.fromiter(map(slot_map.pop, victims), dtype=np.int64,
-                             count=nv)
+    deque(map(lru.__delitem__, victims), maxlen=0)
     cache.evictions += nv
     n_res = int(np.count_nonzero(res_u))
-    nfills = nu - n_res
-    cache_slot_u = np.empty(nu, dtype=np.int64)
     if n_res:
-        cache_slot_u[res_u] = np.fromiter(
-            map(slot_map.pop, ukeys[res_u].tolist()), dtype=np.int64,
-            count=n_res)
-    if nfills <= nv:
-        cache_slot_u[~res_u] = vict_slots[:nfills]
-        cache._free.extend(vict_slots[nfills:].tolist())
-    else:
-        extra = cache._take_slots(nfills - nv)
-        cache._sizes[extra] = nb
-        cache_slot_u[~res_u] = np.concatenate(
-            (vict_slots, np.asarray(extra, dtype=np.int64)))
-    cache.used_bytes += (nfills - nv) * nb
+        deque(map(lru.__delitem__, ukeys[res_u].tolist()), maxlen=0)
+    cache.used_bytes += (nu - n_res - nv) * nb
     cache._uniform_nb = nb
     ends = np.empty(nu, dtype=np.int64)
     ends[:-1] = starts[1:]
     ends[-1] = n
     tail = np.argsort(perm[ends - 1])  # last occurrences, unique values
-    slot_map.update(zip(ukeys[tail].tolist(), cache_slot_u[tail].tolist()))
+    lru.update(zip(ukeys[tail].tolist(), repeat(nb)))
 
     # Victims outside the batch; the reclassified uniques among the
     # victims end resident again and are written back as batch blocks.
     if reclass:
         again = set(ukeys[reclass].tolist())
         victims = [v for v in victims if v not in again]
-    _writeback_directory(caches, chiplet, ukeys, dslots, others, None,
+    _writeback_directory(caches, chiplet, ukeys, masks, others, None,
                          victims, write)
     return has_dups
 
@@ -820,7 +802,7 @@ def _replay_batch(machine, region, chiplet: int, my_node: int, maxlen: int,
                   nb: int, keys: np.ndarray, uid: np.ndarray,
                   first_pos: np.ndarray, ublocks: np.ndarray,
                   ukeys: np.ndarray, ukeys_list: List[int],
-                  dslots: np.ndarray, others: np.ndarray, t0: float,
+                  masks: np.ndarray, others: np.ndarray, t0: float,
                   req_bytes: int, write: bool, per_issue_ns: float,
                   mlp: float, lats: Tuple[float, float, float, float],
                   counts: List[int], state: list) -> None:
@@ -829,11 +811,13 @@ def _replay_batch(machine, region, chiplet: int, my_node: int, maxlen: int,
     One pass in batch order over the requester's LRU dict, mirroring the
     cache half of ``Machine._scalar_span``: a hit refreshes recency, a
     miss evicts the LRU front when the slice is full and inserts at the
-    tail.  Only the hit/miss outcome depends on the pass; the fill source
-    of a miss follows from pre-batch state alone, because within a batch
-    the requester's fills and evictions only ever change *its own*
-    directory bit and peers' slices change only through this batch's
-    write invalidations:
+    tail; every entry it inserts is ``nb`` bytes, like the uniformly
+    sized slice it joins, so one eviction always makes room.  Only the
+    hit/miss outcome depends on the pass; the fill source of a miss
+    follows from pre-batch state alone, because within a batch the
+    requester's fills and evictions only ever change *its own* directory
+    bit and peers' slices change only through this batch's write
+    invalidations:
 
     - a read miss fills from the min-id peer holder of the pre-batch
       bitmask, or from the block's DRAM home when no peer holds it;
@@ -848,42 +832,36 @@ def _replay_batch(machine, region, chiplet: int, my_node: int, maxlen: int,
     """
     caches = machine.caches
     cache = caches.caches[chiplet]
-    lru = cache._slot
+    lru = cache._lru
     pop = lru.pop
     n = keys.shape[0]
     len0 = len(lru)
     originals = list(lru)
     room = maxlen - len0
-    fresh = cache._take_slots(min(room, n)) if room > 0 else []
-    if fresh:
-        cache._sizes[fresh] = nb
     hits: List[int] = []
     hit_append = hits.append
     accesses = enumerate(keys.tolist())
-    if fresh:
-        # Room left: misses take fresh slots until the slice fills up.
+    if room > 0:
+        # Room left: misses insert without evicting until the slice fills.
         for i, k in accesses:
-            s = pop(k, None)
-            if s is None:
-                lru[k] = fresh.pop()
-                if not fresh:
+            if pop(k, None) is None:
+                lru[k] = nb
+                room -= 1
+                if not room:
                     break
             else:
-                lru[k] = s
+                lru[k] = nb
                 hit_append(i)
-    # Full slice: every miss evicts the LRU front and reuses its slot
-    # row, which already reads ``nb`` (uniformly sized slice).
+    # Full slice: every miss evicts the LRU front (every entry is ``nb``
+    # bytes, so one victim makes room).
     for i, k in accesses:
-        s = pop(k, None)
-        if s is None:
+        if pop(k, None) is None:
             for v in lru:
                 break
-            s = pop(v)
+            del lru[v]
         else:
             hit_append(i)
-        lru[k] = s
-    if fresh:
-        cache._free.extend(fresh)  # room the batch did not need
+        lru[k] = nb
     n_miss = n - len(hits)
     cache.evictions += n_miss - (len(lru) - len0)
     cache.used_bytes = len(lru) * nb
@@ -918,7 +896,7 @@ def _replay_batch(machine, region, chiplet: int, my_node: int, maxlen: int,
     if victims:
         batch = set(ukeys_list)
         victims = [k for k in victims if k not in batch]
-    _writeback_directory(caches, chiplet, ukeys, dslots, others, resident,
+    _writeback_directory(caches, chiplet, ukeys, masks, others, resident,
                          victims, write)
 
 
@@ -1099,17 +1077,17 @@ def _service_accesses(machine, chiplet: int, my_node: int, keys: np.ndarray,
 
 
 def _writeback_directory(caches, chiplet: int, ukeys: np.ndarray,
-                         dslots: np.ndarray, others: np.ndarray,
+                         masks: np.ndarray, others: np.ndarray,
                          resident: Optional[np.ndarray],
                          victims: List[int], write: bool) -> None:
     """Bulk directory update for one serviced batch.
 
-    ``ukeys``/``dslots``/``others`` describe the batch's unique blocks
-    (pre-batch directory rows, ``-1`` when absent, and peer-holder
-    masks); ``resident`` says which of them end the batch in the
-    requester's slice (``None``: all of them); ``victims`` lists the
-    evicted keys *outside* the batch.  The final state follows from
-    those alone, whatever order the scalar loop set and cleared bits in:
+    ``ukeys``/``masks``/``others`` describe the batch's unique blocks
+    (pre-batch holder masks, ``0`` when absent, and their peer bits);
+    ``resident`` says which of them end the batch in the requester's
+    slice (``None``: all of them); ``victims`` lists the evicted keys
+    *outside* the batch.  The final state follows from those alone,
+    whatever order the scalar loop set and cleared bits in:
 
     - a write drops every peer copy of each written block (one bulk
       :meth:`ChipletCache.drop_run` per peer slice), leaving the
@@ -1118,13 +1096,14 @@ def _writeback_directory(caches, chiplet: int, ukeys: np.ndarray,
       block ended resident;
     - an outside victim loses the requester's bit.
 
-    Entries whose mask empties release their rows, which are recycled
-    for the batch's new entries (one mask prefetch, no per-key scalar
-    reads or writes of the mask column).
+    Outside victims lose the bit in bulk
+    (:meth:`CacheSystem._dir_clear_bit_run`), emptied batch entries are
+    deleted, and every live batch entry is written with one
+    ``dict.update``.
     """
-    dir_slot = caches._dir_slot
-    mask_col = caches._dir_mask
-    nbit = np.int64(1 << chiplet)
+    d = caches._dir
+    bit = 1 << chiplet
+    nbit = np.int64(bit)
     res_bit = nbit if resident is None else np.where(resident, nbit, 0)
     if write:
         dropped = np.flatnonzero(others)
@@ -1141,52 +1120,12 @@ def _writeback_directory(caches, chiplet: int, ukeys: np.ndarray,
         new = np.broadcast_to(res_bit, others.shape)
     else:
         new = others | res_bit
-    freed: List[np.ndarray] = []
-    gone_keys: List[int] = []
-    if victims:
-        vslots = np.fromiter(map(dir_slot.__getitem__, victims),
-                             dtype=np.int64, count=len(victims))
-        vmask = mask_col[vslots] & ~nbit
-        gone = vmask == 0
-        if gone.all():
-            # Steady state: no peer shares any victim.
-            freed.append(vslots)
-            gone_keys = victims
-        else:
-            keep = ~gone
-            mask_col[vslots[keep]] = vmask[keep]
-            freed.append(vslots[gone])
-            gone_keys = [victims[j] for j in np.flatnonzero(gone).tolist()]
-    present = dslots >= 0
+    caches._dir_clear_bit_run(victims, bit)
     live = new != 0
-    upd = present & live
-    mask_col[dslots[upd]] = new[upd]
-    drop_u = present & ~live
-    if drop_u.any():
-        freed.append(dslots[drop_u])
-        gone_keys = gone_keys + ukeys[drop_u].tolist()
-    if gone_keys:
-        deque(map(dir_slot.__delitem__, gone_keys), maxlen=0)
-    rows = freed[0] if len(freed) == 1 else (
-        np.concatenate(freed) if freed else np.empty(0, dtype=np.int64))
-    add = ~present & live  # never-present blocks have no peer bits
-    n_add = int(np.count_nonzero(add))
-    if n_add:
-        r = rows.shape[0]
-        if r >= n_add:
-            new_rows = rows[:n_add]
-            rows = rows[n_add:]
-        else:
-            new_rows = np.concatenate(
-                (rows, np.asarray(caches._dir_take_slots(n_add - r),
-                                  dtype=np.int64)))
-            rows = rows[:0]
-            mask_col = caches._dir_mask  # the take may grow the column
-        mask_col[new_rows] = nbit
-        dir_slot.update(zip(ukeys[add].tolist(), new_rows.tolist()))
-    if rows.shape[0]:
-        mask_col[rows] = 0
-        caches._dir_free.extend(rows.tolist())
+    gone = ~live & (masks != 0)
+    if gone.any():
+        deque(map(d.__delitem__, ukeys[gone].tolist()), maxlen=0)
+    d.update(zip(ukeys[live].tolist(), new[live].tolist()))
 
 
 def local_hit_segment(

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.hw.counters import N_SOURCES, SOURCE_INDEX
 from repro.hw.machine import Machine, milan, sapphire_rapids, small_test_machine
 from repro.hw.memory import MemPolicy
+from tests.twins import assert_same_state
 
 
 def replay_per_access(machine: Machine, core, region, blocks, now, nbytes,
@@ -81,17 +82,10 @@ def test_access_batch_equivalent_to_access_sequence(mk, data):
         assert res.accesses == len(blocks)
         now = end
 
-    # Machine state must be identical afterwards: counters, directory,
-    # per-slice LRU contents *and order*, and hit/miss/eviction stats.
-    assert m_batch.total_accesses == m_seq.total_accesses
-    for c in range(total_cores):
-        assert m_batch.counters.core(c).v == m_seq.counters.core(c).v
-    assert m_batch.caches.directory == m_seq.caches.directory
-    for ca, cb in zip(m_batch.caches.caches, m_seq.caches.caches):
-        assert list(ca._lru.items()) == list(cb._lru.items())
-        assert (ca.hits, ca.misses, ca.evictions, ca.used_bytes) == \
-            (cb.hits, cb.misses, cb.evictions, cb.used_bytes)
-    assert m_batch.caches.check_directory_consistent()
+    # Machine state must be identical afterwards: the full fingerprint
+    # (LRU contents and order, directory, slice stats, every server's
+    # queue state, counters, fill-latency chains).
+    assert_same_state(m_batch, m_seq)
 
 
 def test_access_batch_rejects_out_of_range_block(tiny):

@@ -63,36 +63,53 @@ def test_invalid_capacity():
         ChipletCache(0, capacity_bytes=32)
 
 
+_SIZES = (32, 64, 200)
+
+
 @st.composite
 def _ops(draw):
     return draw(st.lists(st.tuples(st.sampled_from(["insert", "touch", "drop"]),
-                                   st.integers(0, 20)), max_size=80))
+                                   st.integers(0, 20), st.sampled_from(_SIZES)),
+                         max_size=80))
 
 
 @given(_ops())
 @settings(max_examples=60, deadline=None)
 def test_lru_matches_model(ops):
-    """The cache agrees with a straightforward ordered-dict LRU model."""
-    c = ChipletCache(0, capacity_bytes=4 * 64)
+    """The cache agrees with a plain ``{block: nbytes}`` byte-budgeted LRU.
+
+    Pins the byte-weighted eviction rule that ``fill_run`` and the vector
+    kernels reproduce in bulk: an insert evicts from the LRU front until
+    its bytes fit, and an int ``_uniform_nb`` means every resident entry
+    is exactly that many bytes.
+    """
+    cap = 4 * 64
+    c = ChipletCache(0, capacity_bytes=cap)
     model = {}
-    for op, block in ops:
+    evictions = 0
+    for op, block, nbytes in ops:
         if op == "insert":
-            c.insert(block, 64)
             if block in model:
-                model.pop(block)
-            model[block] = None
-            while len(model) > 4:
-                model.pop(next(iter(model)))
+                model[block] = model.pop(block)  # refresh; size unchanged
+            else:
+                while sum(model.values()) + nbytes > cap and model:
+                    model.pop(next(iter(model)))
+                    evictions += 1
+                model[block] = nbytes
+            c.insert(block, nbytes)
         elif op == "touch":
             hit = c.touch(block)
             assert hit == (block in model)
             if hit:
-                model.pop(block)
-                model[block] = None
+                model[block] = model.pop(block)
         else:
             c.drop(block)
             model.pop(block, None)
-        assert set(c.blocks()) == set(model)
+        assert list(c._lru.items()) == list(model.items())
+        assert c.used_bytes == sum(model.values())
+        assert c.evictions == evictions
+        if c._uniform_nb is not None:
+            assert all(v == c._uniform_nb for v in model.values())
 
 
 def _system():

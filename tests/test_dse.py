@@ -142,6 +142,19 @@ def test_geometry_validation_rejects_bad_axes():
                         mem_channels_per_socket=8).validate()
 
 
+def test_geometry_validation_rejects_more_chiplets_than_directory_bits():
+    # Every axis is in range, but 4 x 16 = 64 chiplets do not fit the
+    # 63 holder bits of the cache directory, so build() would fail.
+    too_many = MachineGeometry(chiplets_per_socket=16, cores_per_chiplet=1,
+                               l3_mib_per_chiplet=32,
+                               mem_channels_per_socket=8, sockets=4)
+    with pytest.raises(ValueError, match=r"sockets \* chiplets_per_socket"):
+        too_many.validate()
+    MachineGeometry(chiplets_per_socket=16, cores_per_chiplet=1,
+                    l3_mib_per_chiplet=32, mem_channels_per_socket=8,
+                    sockets=3).validate()
+
+
 def test_geometry_builds_matching_machine():
     geo = MachineGeometry(chiplets_per_socket=4, cores_per_chiplet=8,
                           l3_mib_per_chiplet=16, mem_channels_per_socket=4,

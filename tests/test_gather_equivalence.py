@@ -6,7 +6,7 @@ bit-identical; this suite covers the gather kernel that services
 scatter of per-class delays, the duplicate-replay clock math (repeats
 resolve against the first touch's fill), the composite-key bank
 grouping, the single ``serve_groups`` call across channel/peer/xlink
-server classes, and the SoA eviction/writeback paths underneath.
+server classes, and the bulk LRU/directory writeback underneath.
 
 The contract is the one every kernel in :mod:`repro.hw.vector` obeys:
 virtual times, LRU contents *and order*, the sharing directory,
@@ -285,15 +285,16 @@ def test_dse_gups_cell_stays_off_the_scalar_path():
             == cell.cores * p["updates_per_worker"])
 
 
-# --- memory-footprint smoke: SoA state must not exceed the dict layout ---
+# --- memory-footprint smoke: mask directory vs a {block: set} directory ---
 
-def test_soa_state_smaller_than_dict_layout_at_perf_sizes():
-    """The SoA columns must stay within the dict-of-objects footprint.
+def test_cache_state_within_set_directory_layout_at_perf_sizes():
+    """The plain-dict cache state must stay within a set directory's footprint.
 
     Fills a ``milan(scale=32)`` machine's slices well past capacity with
     gups-style random writes (the perf-suite shape), then compares the
-    resident bytes of the SoA cache/directory state against the modelled
-    pre-SoA layout for the same contents.
+    resident bytes of the ``{block: nbytes}`` slices and the
+    ``{block: holder mask}`` directory against the modelled
+    ``{block: set}`` directory layout for the same contents.
     """
     m = milan(scale=32)
     agg_l3 = m.l3_bytes_per_chiplet * m.topo.total_chiplets
@@ -306,7 +307,7 @@ def test_soa_state_smaller_than_dict_layout_at_perf_sizes():
         now += m.access_batch(core, region, idx, now=now, write=True).ns
     caches = m.caches
     assert caches.check_directory_consistent()
-    soa, dict_layout = caches.state_nbytes(), caches.dict_layout_nbytes()
-    assert soa <= dict_layout, (
-        f"SoA cache state ({soa:,} B) exceeds the modelled dict layout "
-        f"({dict_layout:,} B)")
+    state, set_layout = caches.state_nbytes(), caches.dict_layout_nbytes()
+    assert state <= set_layout, (
+        f"cache state ({state:,} B) exceeds the modelled set-directory "
+        f"layout ({set_layout:,} B)")

@@ -2,10 +2,11 @@
 
 Property test: the same workload run bare, with full telemetry, and with
 null-mode telemetry produces *bit-identical* simulated state — virtual
-wall time, per-worker clocks and fill counters, the machine counter
-board, per-chiplet LRU contents (including recency order), the sharing
-directory, and the memory-channel queue states.  Observation reads; it
-never writes.
+wall time, per-worker clocks and fill counters, and the machine's
+:meth:`~repro.hw.machine.Machine.state_fingerprint` (per-chiplet LRU
+contents in recency order, the sharing directory, every server's queue
+state, per-core counters and fill-latency chains).  Observation reads;
+it never writes.
 """
 
 import numpy as np
@@ -85,18 +86,9 @@ def _state(rt: Runtime, report) -> dict:
         "spread": [w.spread_rate for w in rt.workers],
         "migrations": [w.migrations for w in rt.workers],
         "worker_fills": [list(w.fills.v) for w in rt.workers],
-        "counters": list(m.counters.totals()),
         "fill_totals": report.fill_totals,
         "steals": rt.total_steals,
-        # LRU dicts preserve insertion (= recency) order, so item-list
-        # equality pins the full replacement state, not just membership.
-        "lru": [list(c._lru.items()) for c in m.caches.caches],
-        "directory": {b: sorted(s) for b, s in m.caches.directory.items()},
-        "channels": [
-            [(s.free_at, s.busy_ns, s.requests) for s in socket]
-            for socket in m.channels._servers
-        ],
-        "links": [(s.free_at, s.busy_ns) for s in m.links._servers],
+        "machine": m.state_fingerprint(),
     }
 
 
@@ -124,7 +116,7 @@ def test_telemetry_is_bit_identical(machine_fn, n_workers, seed):
     assert _state(null, null_report) == bare_state
 
     # Post-run structural invariant: every run leaves the sharing
-    # directory and the per-slice SoA cache state mutually consistent.
+    # directory and the per-slice LRU dicts mutually consistent.
     for rt in (bare, full, null):
         assert rt.machine.caches.check_directory_consistent()
 

@@ -267,9 +267,9 @@ def test_serve_constant_empty():
     peer_held=st.integers(0, 12),
     uniform=st.booleans(),
 )
-# A full uniform slice turned over exactly: the fast path, with no victim
-# shared and with one victim shared (it restores and takes the general
-# path).
+# A full uniform slice turned over exactly (every resident entry is a
+# victim, so the slice is cleared in one go), with no victim shared and
+# with one victim shared (its entry keeps the peer's bit).
 @example(capacity_blocks=4, pre=4, k=4, nbytes=64, peer_held=0, uniform=True)
 @example(capacity_blocks=4, pre=4, k=4, nbytes=64, peer_held=1, uniform=True)
 def test_fill_run_equivalent_to_sequential_fill(capacity_blocks, pre, k,

@@ -22,7 +22,6 @@ on a DRAM-resident table exposes channel count and geometry.
 Usage::
 
     python -m repro dse --budget 1000 --jobs 0        # sweep + reduce
-    python -m repro.bench.dse --bench --jobs 4        # record BENCH dse section
 
 Outputs land under ``results/dse/`` (``cells.csv``, per-workload
 ``frontier_*.csv``, ``summary.txt``).  Serial and parallel runs produce
@@ -31,15 +30,10 @@ the sweep engine guarantees scheduling never changes a result bit.
 """
 
 import argparse
-import contextlib
 import csv
-import json
-import os
 import sys
-import tempfile
-import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.cells import ExperimentCell, register
 from repro.hw.machine import GEOMETRY_ANCHORS, MIB, MachineGeometry
@@ -50,7 +44,6 @@ __all__ = [
     "generate_configs",
     "pareto_frontier",
     "run_dse",
-    "measure_check",
 ]
 
 #: L3-capacity divisor (and implicit dataset shrink) for every DSE
@@ -409,7 +402,7 @@ register("dse", _dse_exp_cells, _run_dse_cell, _dse_exp_merge)
 
 def run_dse(budget: int = DEFAULT_BUDGET, jobs: int = 0,
             out_dir: Path = Path("results") / "dse", use_cache: bool = True,
-            progress=None, order: str = "ljf",
+            progress=None,
             ) -> Tuple[Dict[str, Any], Any]:
     """Generate, sweep, reduce, and write one DSE run.
 
@@ -419,120 +412,12 @@ def run_dse(budget: int = DEFAULT_BUDGET, jobs: int = 0,
 
     cells = dse_cells(budget)
     results, stats = run_cells(cells, jobs=jobs, use_cache=use_cache,
-                               progress=progress, order=order)
+                               progress=progress)
     stats.experiments = ["dse"]
     report = reduce_results(cells, results)
     report["stats"] = stats.as_dict()
     write_outputs(out_dir, report)
     return report, stats
-
-
-# -- measurement (BENCH dse section + perf gate) -------------------------------
-
-
-@contextlib.contextmanager
-def _temp_store() -> Iterator[str]:
-    """Point REPRO_SWEEP_CACHE at a throwaway dir (cold-cache runs)."""
-    prev = os.environ.get("REPRO_SWEEP_CACHE")
-    with tempfile.TemporaryDirectory(prefix="repro-dse-bench-") as td:
-        os.environ["REPRO_SWEEP_CACHE"] = td
-        try:
-            yield td
-        finally:
-            if prev is None:
-                os.environ.pop("REPRO_SWEEP_CACHE", None)
-            else:
-                os.environ["REPRO_SWEEP_CACHE"] = prev
-
-
-def measure_check(budget: int = 24, jobs: int = 2) -> Dict[str, Any]:
-    """Small, self-contained DSE throughput measurement for the perf gate.
-
-    Runs a tiny budget cold (fresh temporary store), then resumed, and
-    reports sustained cells/sec, pool efficiency, and the resume
-    cache-hit ratio.  Deterministic in everything but wall-clock.
-    """
-    from repro.bench.sweep import run_cells
-
-    cells = dse_cells(budget)
-    with _temp_store():
-        _, cold = run_cells(cells, jobs=jobs)
-        _, warm = run_cells(cells, jobs=jobs)
-    return {
-        "budget": budget,
-        "jobs": cold.jobs,
-        "cells": cold.total,
-        "cells_per_sec": round(cold.cells_per_sec, 2),
-        "pool_efficiency": round(cold.efficiency, 3),
-        "cold_wall_s": round(cold.wall_s, 3),
-        "resume_wall_s": round(warm.wall_s, 3),
-        "resume_hit_ratio": round(warm.cache_hit_ratio, 3),
-    }
-
-
-def _bench(budget: int, jobs: int, out: Path) -> int:
-    """Measure DSE sweep throughput; record under ``dse`` in
-    BENCH_simperf.json (the rest of the report is left untouched)."""
-    from repro.bench.sweep import resolve_jobs, run_cells
-
-    jobs = resolve_jobs(jobs)
-    cells = dse_cells(budget)
-
-    def timed(label: str, **kwargs) -> Tuple[Any, Dict[str, Any]]:
-        with _temp_store():
-            t0 = time.perf_counter()
-            _, stats = run_cells(cells, jobs=jobs, **kwargs)
-            wall = time.perf_counter() - t0
-            resume_stats = None
-            if kwargs.get("order", "ljf") == "ljf":
-                _, resume_stats = run_cells(cells, jobs=jobs, **kwargs)
-        print(f"{label:14s} jobs={stats.jobs:<3d} {wall:7.2f}s "
-              f"({stats.total} cells, {stats.cells_per_sec:.1f} cells/s, "
-              f"efficiency {stats.efficiency:.2f})")
-        return resume_stats, {
-            "wall_s": round(wall, 2),
-            "cells_per_sec": round(stats.cells_per_sec, 2),
-            "pool_efficiency": round(stats.efficiency, 3),
-            "chunks": stats.chunks,
-        }
-
-    resume, ljf = timed("ljf+chunked")
-    _, fifo = timed("fifo/per-cell", order="fifo", chunked=False)
-    check = measure_check()
-
-    section: Dict[str, Any] = {
-        "suite": f"python -m repro dse --budget {budget}",
-        "host_cpus": os.cpu_count(),
-        "budget": budget,
-        "cells": len(cells),
-        "jobs": jobs,
-        "ljf_chunked": ljf,
-        "fifo_per_cell": fifo,
-        "ljf_speedup_vs_fifo": round(ljf["wall_s"] and fifo["wall_s"] / ljf["wall_s"], 2),
-        "resume": {
-            "wall_s": round(resume.wall_s, 2),
-            "cache_hit_ratio": round(resume.cache_hit_ratio, 3),
-        },
-        "check": check,
-    }
-    host_cpus = os.cpu_count() or 1
-    if host_cpus < jobs:
-        section["note"] = (
-            f"host has only {host_cpus} cpu(s); pool efficiency and the "
-            f"LJF-vs-FIFO gap are IPC-bound here and scale with available "
-            f"cores")
-    doc: Dict[str, Any] = {}
-    if out.exists():
-        try:
-            doc = json.loads(out.read_text())
-        except json.JSONDecodeError:
-            pass
-    doc["dse"] = section
-    out.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-    print(f"updated {out} (dse section); "
-          f"{section['ljf_speedup_vs_fifo']}x ljf-vs-fifo, "
-          f"resume hit ratio {section['resume']['cache_hit_ratio']}")
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -546,24 +431,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="output directory for CSVs and summary")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and don't write the result store")
-    parser.add_argument("--order", choices=("ljf", "fifo"), default="ljf")
-    parser.add_argument("--bench", action="store_true",
-                        help="measure sweep throughput (LJF vs FIFO, resume) "
-                             "and update the dse section of BENCH_simperf.json")
-    parser.add_argument("--bench-out", type=Path,
-                        default=Path("BENCH_simperf.json"))
     args = parser.parse_args(argv)
-
-    if args.bench:
-        return _bench(args.budget, args.jobs, args.bench_out)
 
     def say(msg: str) -> None:
         print(f"[dse] {msg}", file=sys.stderr, flush=True)
 
     report, stats = run_dse(budget=args.budget, jobs=args.jobs,
                             out_dir=args.out,
-                            use_cache=not args.no_cache, progress=say,
-                            order=args.order)
+                            use_cache=not args.no_cache, progress=say)
     print(render_summary(report))
     print(f"\n{stats.total} cells ({stats.cache_hits} cached) in "
           f"{stats.wall_s:.1f}s — {stats.cells_per_sec:.1f} cells/s, "

@@ -37,7 +37,6 @@ Usage::
     python -m repro run fig07_amd_scalability --jobs 4
     python -m repro all --jobs 0            # auto-size the pool
     python -m repro cache stats             # result-store contents
-    python -m repro.bench.sweep --bench --jobs 4   # time serial vs parallel
 """
 
 import argparse
@@ -74,13 +73,6 @@ __all__ = [
 
 #: default on-disk cache location (override with ``REPRO_SWEEP_CACHE``)
 DEFAULT_CACHE_DIR = Path("results") / ".sweep-cache"
-
-#: Wall-clock of `python -m repro all` (quick) measured at commit 2509359,
-#: before the cell decomposition and dataset memoization landed — the
-#: "before" of the sweep section in BENCH_simperf.json.  Host wall-clock
-#: is hardware-dependent: re-measure on the seed commit when moving to
-#: different hardware.
-RECORDED_SERIAL_BASELINE_S = 42.09
 
 #: chunked submission targets this many chunks per worker, so the pool
 #: stays load-balanced (workers that draw short chunks pick up more)
@@ -188,7 +180,6 @@ class SweepStats:
     wall_s: float = 0.0
     busy_s: float = 0.0
     chunks: int = 0
-    order: str = "ljf"
     experiments: List[str] = field(default_factory=list)
 
     @property
@@ -219,7 +210,7 @@ class SweepStats:
                 "busy_s": round(self.busy_s, 3),
                 "cells_per_sec": round(self.cells_per_sec, 2),
                 "pool_efficiency": round(self.efficiency, 3),
-                "chunks": self.chunks, "order": self.order,
+                "chunks": self.chunks,
                 "experiments": self.experiments}
 
 
@@ -264,19 +255,11 @@ def _execute_chunk(chunk: List[ExperimentCell], telemetry: bool,
     return out
 
 
-def _order_cells(todo: List[ExperimentCell], model: CostModel, order: str,
+def _order_cells(todo: List[ExperimentCell], model: CostModel,
                  ) -> List[ExperimentCell]:
-    """Schedule order for uncached cells.
-
-    ``ljf``: longest-job-first by estimated cost (deterministic tiebreak
-    on cell_id) — big cells start early so no straggler lands last.
-    ``fifo``: caller order, kept as the comparison baseline for the
-    scheduler benchmark.
-    """
-    if order == "fifo":
-        return list(todo)
-    if order != "ljf":
-        raise ValueError(f"unknown order {order!r} (expected 'ljf' or 'fifo')")
+    """Schedule order for uncached cells: longest-job-first by estimated
+    cost (deterministic tiebreak on cell_id), so big cells start early
+    and no straggler lands last."""
     return sorted(todo, key=lambda c: (-model.estimate(c), c.cell_id))
 
 
@@ -323,8 +306,7 @@ def _fmt_eta(seconds: float) -> str:
 
 def run_cells(cells: List[ExperimentCell], jobs: int = 1, use_cache: bool = True,
               progress: Optional[Callable[[str], None]] = None,
-              telemetry: bool = False, order: str = "ljf",
-              chunked: bool = True,
+              telemetry: bool = False,
               ) -> Tuple[Dict[str, Any], SweepStats]:
     """Execute ``cells``, returning ``({cell_id: result}, stats)``.
 
@@ -334,12 +316,10 @@ def run_cells(cells: List[ExperimentCell], jobs: int = 1, use_cache: bool = True
     :mod:`repro.bench.datasets` memoize per process); with ``jobs <= 1``
     they run inline.  Either way results land in a dict keyed by cell_id
     — merge order is the caller's cell order, not completion or schedule
-    order, so ``order``/``chunked`` cannot change any output bit.
+    order, so scheduling cannot change any output bit.
 
-    ``order="ljf"`` (default) sorts uncached work longest-job-first
-    using the cost model calibrated from the result store;
-    ``order="fifo"`` with ``chunked=False`` reproduces the pre-cost-model
-    engine (one future per cell, submission order) for comparison.
+    Uncached work runs longest-job-first by the cost model calibrated
+    from the result store, packed into chunks (:func:`_pack_chunks`).
 
     ``telemetry=True`` runs each cell through
     :func:`~repro.bench.cells.execute_cell_telemetry` (dict results gain
@@ -353,7 +333,7 @@ def run_cells(cells: List[ExperimentCell], jobs: int = 1, use_cache: bool = True
     unique: Dict[str, ExperimentCell] = {}
     for cell in cells:
         unique.setdefault(cell.cell_id, cell)
-    stats = SweepStats(total=len(unique), jobs=jobs, order=order)
+    stats = SweepStats(total=len(unique), jobs=jobs)
 
     results: Dict[str, Any] = {}
     todo: List[ExperimentCell] = []
@@ -373,7 +353,7 @@ def run_cells(cells: List[ExperimentCell], jobs: int = 1, use_cache: bool = True
     # (without creating one).
     calibrate = use_cache or (cache_dir() / STORE_FILENAME).exists()
     model = CostModel.from_store(get_store()) if calibrate else CostModel()
-    ordered = _order_cells(todo, model, order)
+    ordered = _order_cells(todo, model)
 
     # ETA from the calibrated cost model: completed estimated-seconds so
     # far give an estimated-seconds/sec rate; remaining estimate / rate
@@ -417,10 +397,7 @@ def run_cells(cells: List[ExperimentCell], jobs: int = 1, use_cache: bool = True
             say(f"{done}/{len(todo)} cells done ({cell.cell_id})"
                 f"{eta_suffix()}")
     else:
-        if chunked:
-            chunks = _pack_chunks(ordered, model, jobs)
-        else:
-            chunks = [[c] for c in ordered]
+        chunks = _pack_chunks(ordered, model, jobs)
         stats.chunks = len(chunks)
         # fork shares the parent's imported modules and dataset cache
         # snapshot; spawn (the only option on some platforms) re-imports
@@ -495,7 +472,7 @@ def run_many(names: List[str], quick: bool = True, jobs: int = 1,
     return out, stats
 
 
-# -- maintenance / measurement CLI ---------------------------------------------
+# -- maintenance CLI ---------------------------------------------------------
 
 
 def cache_stats() -> Dict[str, Any]:
@@ -511,73 +488,13 @@ def cache_gc(older_than_days: Optional[float] = None) -> Dict[str, Any]:
     return get_store().gc(code_version(), older_than_s=older_than_s)
 
 
-def _bench(jobs: int, out: Path) -> int:
-    """Time the quick suite serial vs parallel; record under ``sweep`` in
-    BENCH_simperf.json (the rest of the report is left untouched)."""
-    from repro.cli import EXPERIMENT_ORDER
-
-    def timed(label: str, n_jobs: int) -> Dict[str, Any]:
-        t0 = time.perf_counter()
-        _, stats = run_many(EXPERIMENT_ORDER, quick=True, jobs=n_jobs,
-                            use_cache=False, progress=None)
-        wall = time.perf_counter() - t0
-        print(f"{label:10s} jobs={stats.jobs:<3d} {wall:7.2f}s "
-              f"({stats.total} cells, efficiency {stats.efficiency:.2f})")
-        return {"jobs": stats.jobs, "wall_s": round(wall, 2),
-                "cells": stats.total,
-                "pool_efficiency": round(stats.efficiency, 3)}
-
-    serial = timed("serial", 1)
-    parallel = timed("parallel", jobs)
-    section = {
-        "suite": "python -m repro all (quick)",
-        "host_cpus": os.cpu_count(),
-        "serial_before_refactor_s": RECORDED_SERIAL_BASELINE_S,
-        "serial": serial,
-        "parallel": parallel,
-        "speedup_vs_serial": round(serial["wall_s"] / parallel["wall_s"], 2),
-        "speedup_vs_before": round(
-            RECORDED_SERIAL_BASELINE_S / parallel["wall_s"], 2),
-    }
-    host_cpus = os.cpu_count() or 1
-    if host_cpus < parallel["jobs"]:
-        section["note"] = (
-            f"host has only {host_cpus} cpu(s); a {parallel['jobs']}-process "
-            f"pool cannot beat serial here — parallel speedup scales with "
-            f"available cores")
-    doc: Dict[str, Any] = {}
-    if out.exists():
-        try:
-            doc = json.loads(out.read_text())
-        except json.JSONDecodeError:
-            pass
-    doc["sweep"] = section
-    out.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-    print(f"updated {out} (sweep section); "
-          f"{section['speedup_vs_serial']}x vs serial, "
-          f"{section['speedup_vs_before']}x vs pre-refactor")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cache-stats", action="store_true",
+    parser.add_argument("--cache-stats", action="store_true", required=True,
                         help="print JSON stats of the sweep result store")
-    parser.add_argument("--bench", action="store_true",
-                        help="time the quick suite serial vs --jobs, update "
-                             "the sweep section of BENCH_simperf.json")
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="worker processes for --bench (0 = auto)")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_simperf.json"))
-    args = parser.parse_args(argv)
-
-    if args.cache_stats:
-        print(json.dumps(cache_stats(), indent=2))
-        return 0
-    if args.bench:
-        return _bench(args.jobs, args.out)
-    parser.error("choose one of --cache-stats / --bench")
-    return 2  # pragma: no cover
+    parser.parse_args(argv)
+    print(json.dumps(cache_stats(), indent=2))
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

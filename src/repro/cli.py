@@ -266,7 +266,7 @@ def cmd_dse(args) -> int:
     from repro.bench import dse
 
     argv = ["--budget", str(args.budget), "--jobs", str(args.jobs),
-            "--out", str(args.out), "--order", args.order]
+            "--out", str(args.out)]
     if args.no_cache:
         argv.append("--no-cache")
     return dse.main(argv)
@@ -337,9 +337,6 @@ def main(argv=None) -> int:
     dse_p.add_argument("--out", default="results/dse", metavar="DIR",
                        help="output directory (cells.csv, frontier_*.csv, "
                             "summary.txt)")
-    dse_p.add_argument("--order", choices=("ljf", "fifo"), default="ljf",
-                       help="scheduling order (fifo = pre-cost-model engine, "
-                            "for comparison)")
     dse_p.add_argument("--no-cache", action="store_true",
                        help="ignore and don't write the result store")
     dse_p.set_defaults(fn=cmd_dse)
@@ -386,7 +383,7 @@ def main(argv=None) -> int:
                           "(default: the strategy's scheduler timer)")
     t_p.add_argument("--serve", default=None, metavar="PATH",
                      help="merge a serve-side trace (GET /debug/trace "
-                          "JSON, or loadgen --trace-out) into the output")
+                          "JSON) into the output")
     t_p.set_defaults(fn=cmd_trace)
 
     args = parser.parse_args(argv)

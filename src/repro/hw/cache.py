@@ -400,8 +400,8 @@ class CacheSystem:
     def stats(self) -> Dict:
         """Hit/miss/eviction statistics per slice plus machine-wide totals.
 
-        Consumed by the sim-throughput perf report (``repro.bench.perf``)
-        and handy for debugging capacity effects in experiments.
+        Consumed by the telemetry summary and handy for debugging
+        capacity effects in experiments.
         """
         per_chiplet = []
         hits = misses = evictions = resident = blocks = 0

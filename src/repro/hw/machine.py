@@ -411,49 +411,6 @@ class Machine:
                 raise ValueError(
                     f"block {bad} outside region '{region.name}' ({n_blocks} blocks)"
                 )
-        # Hot re-read replay: a stride-1 read run whose keys are exactly
-        # the most-recent entries of the requester's slice (the
-        # cache-resident re-read steady state) is all-HIT with a no-op
-        # LRU touch, so the whole run collapses to clock arithmetic —
-        # no block vector, no segmentation, no classification.  The O(1)
-        # last-recency-key probe keeps the miss paths at two dict looks.
-        if (stride == 1 and not write and count >= VECTOR_MIN
-                and region.policy is not MemPolicy.REPLICATED):
-            chiplet = self._chiplet_of_core[core]
-            cache = self.caches.caches[chiplet]
-            lru = cache._lru
-            k0 = (region.region_id << Region._KEY_SHIFT) + start
-            if (len(lru) >= count
-                    and next(reversed(lru)) == k0 + count - 1
-                    and list(lru)[len(lru) - count:]
-                        == list(range(k0, k0 + count))):
-                prof = self.profiler
-                t0 = perf_counter() if prof is not None else 0.0
-                self.total_accesses += count
-                ns = self.latency.l3_hit
-                step = ns / mlp  # hits have no queue wait: latency == ns
-                if per_issue_ns > step:
-                    step = per_issue_ns
-                t_last = vector._chain(now, count - 1, step)
-                t = t_last + step
-                finish = t_last + ns
-                cache.hits += count
-                fl = self._fill_lat
-                fl[IDX_LOCAL_CHIPLET] = vector._chain(
-                    fl[IDX_LOCAL_CHIPLET], count, ns)
-                counts = [0] * N_SOURCES
-                counts[IDX_LOCAL_CHIPLET] = count
-                self.counters.record_batch(core, counts)
-                end = t if t > finish else finish
-                if prof is not None:
-                    prof.add("hot_replay", count, perf_counter() - t0)
-                obs = self.obs
-                if obs is not None:
-                    obs.emit("hw.batch", {
-                        "t": end, "core": core, "n": count,
-                        "hits": count, "misses": 0,
-                    })
-                return BatchResult(end - now, finish, counts, 0, count)
         arr = start + stride * np.arange(count, dtype=np.int64)
         return self._service_blocks(
             core, region, None, arr, count, now, nbytes, write, per_issue_ns, mlp,
@@ -974,9 +931,9 @@ class Machine:
         ``fill_latency`` adds a per-source histogram — fill count, summed
         pure latency (no queue waits), and the average — so scenarios can
         assert *where* accesses were served against Fig. 3's local /
-        remote-chiplet / remote-NUMA / DRAM hierarchy.  Recorded into the
-        ``repro.bench.perf`` JSON so saturation experiments (fig04/fig07)
-        can be debugged from data instead of rerun with print statements.
+        remote-chiplet / remote-NUMA / DRAM hierarchy, so saturation
+        experiments (fig04/fig07) can be debugged from data instead of
+        rerun with print statements.
         """
         channels = self.channels.stats()
         links = self.links.stats()

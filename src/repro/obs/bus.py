@@ -5,7 +5,7 @@ runtime, ``CharmStrategy`` via the runtime) hold an ``obs`` attribute that
 is ``None`` by default, so the *detached* cost of every instrumentation
 point is one attribute load plus one ``is None`` branch.  When telemetry
 is attached but a topic has no subscribers, :meth:`EventBus.emit` is one
-dict lookup and a falsy check — the "null sink" the perf gate measures.
+dict lookup and a falsy check — the "null sink".
 
 Events are plain keyword dicts.  Every emit site sits at *batch* or
 *decision* granularity (one event per serviced access batch, per cache

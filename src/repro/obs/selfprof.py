@@ -2,19 +2,18 @@
 
 Unlike everything else in ``repro.obs`` — which observes the simulated
 machine in virtual time — this profiler observes the simulator itself in
-host wall-clock time, attributing it to the kernel paths introduced by
-the perf PRs:
+host wall-clock time, attributing it to the machine's access paths:
 
 - ``scalar``         — the per-access fallback loop (``Machine._scalar_span``)
 - ``vec_miss``       — vectorized DRAM-fill segments (``dram_fill_segment``)
 - ``vec_hit``        — vectorized local-hit segments (``local_hit_segment``)
-- ``vec_peer``       — always zero: peer fills take the scalar span.  The
-  name stays because the end-to-end benchmark's tracer reads every path
-  by name and reports ``hw.vec_peer.*``
+- ``vec_peer``       — always zero: peer fills take the scalar span
 - ``vec_gather``     — whole-batch gather kernel on unsorted unique
   batches (``gather_segment``, no duplicates present)
 - ``vec_dup_replay`` — the same kernel when repeats were replayed as hits
-- ``hot_replay``     — the O(1) cached re-read fast path in ``access_run``
+- ``hot_replay``     — always zero: resident re-read runs take ``vec_hit``.
+  This name and ``vec_peer`` stay because the end-to-end benchmark's
+  tracer reads every path by name and reports ``hw.<path>.*``
 - ``access``         — single-access ``Machine.access`` calls
 - ``program``        — the worker's compiled op-program walk
   (``Worker._run_program``), net of the kernel time above
@@ -25,12 +24,10 @@ the perf PRs:
 Attach with ``machine.profiler = KernelProfiler()`` before running.
 Timing uses ``perf_counter`` around the kernel call only; it reads no
 simulator state and feeds nothing back, so virtual time is unchanged by
-construction (asserted by ``repro.bench.perf --profile``, which checks
-the profiled re-run reproduces ``sim_wall_ns`` bit-identically).
-
-The report lands in ``BENCH_simperf.json`` under ``kernel_profile`` so
-the perf trajectory is self-explaining: a regression shows up as share
-shifting between paths, not just as a lower accesses/sec number.
+construction.  ``tests/test_kernel_paths.py`` pins the exact calls and
+accesses per path for the distinct access shapes and checks that an
+unprofiled re-run reproduces ``sim_wall_ns`` bit-identically; the
+end-to-end benchmark (``perfbench/``) reports the per-path wall time.
 """
 
 from typing import Dict

@@ -12,10 +12,8 @@
 
 ``mode="null"`` attaches only the bus with zero subscribers — every
 instrumentation guard is taken but every event falls into the null sink.
-That configuration is what the perf gate measures: the *cost of the
-hooks themselves* must stay under 2% on stream/gups
-(``repro.bench.perf --telemetry-gate``), and virtual time must be
-bit-identical either way (tests/test_obs_equivalence.py).
+Virtual time is bit-identical either way, and the hooks fire once per
+batch, never per block (both pinned by tests/test_obs_equivalence.py).
 """
 
 from typing import TYPE_CHECKING, Dict, Optional
@@ -81,7 +79,7 @@ class Telemetry:
 
     @classmethod
     def null(cls, runtime: "Runtime") -> "Telemetry":
-        """Attach hooks-only telemetry (the perf gate's measured config)."""
+        """Attach hooks-only telemetry: the bus wired, nothing subscribed."""
         return cls(runtime, mode="null")
 
     # -- Hook plumbing ---------------------------------------------------------

@@ -2,12 +2,13 @@
 
 :mod:`repro.obs` (PR 5) observes *virtual* time under a bit-identity
 contract; this module is its wall-clock twin for the code that runs in
-real time — the advisor service, the load generator, the sweep engine.
+real time — the advisor service and the sweep engine.
 Everything here is stdlib-only (the container carries no prometheus
 client, no tracing SDK) and obeys the same contract translated to wall
 time: **off means off** — with sampling disabled and nothing scraping,
-the per-request cost is a few comparisons and integer adds, gated to
-<2% of serve throughput by ``repro.bench.perf --gate``.
+the per-request cost is a few comparisons and integer adds, and
+sampling-off requests share one ``NULL_TRACE`` (pinned by
+``tests/test_wallclock_obs.py``).
 
 Four subsystems, composed by :mod:`repro.serve.observe`:
 

@@ -276,7 +276,7 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 
 
 class ServerThread:
-    """Self-hosted advisor for tests and the load generator's bench mode.
+    """Self-hosted advisor for tests and in-process tools.
 
     Runs a full :class:`AdvisorServer` (real sockets, real pool) on a
     private event loop in a daemon thread; ``start`` blocks until the

@@ -3,8 +3,8 @@
 The container deliberately carries no HTTP client dependency, and the
 advisor protocol needs exactly one shape of exchange: send a JSON (or
 empty) body, read a JSON body back, reuse the connection.  This client
-does that and nothing more — it exists for the load generator
-(:mod:`repro.bench.loadgen`), the CI smoke, and the tests.
+does that and nothing more — it exists for the CI serve smoke and the
+tests.
 """
 
 import asyncio

@@ -19,9 +19,7 @@ primitives into the serve stack's four surfaces:
   refreshes for ``GET /debug/flight`` and the shutdown dump.
 
 With ``enabled=False`` (``repro serve --no-obs``) every hook is a
-single attribute check and the observability routes answer 404 — the
-reference point for the <2% disabled-overhead gate in
-``repro.bench.perf --gate``.
+single attribute check and the observability routes answer 404.
 """
 
 import time

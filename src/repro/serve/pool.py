@@ -246,8 +246,7 @@ class CellAnswerer:
         """LJF-order one batch, pack it into chunks, fan out to the pool."""
         entry_of = {cell.cell_id: (key, trace, parent)
                     for cell, key, trace, parent, _ in batch}
-        ordered = sweep._order_cells([cell for cell, *_ in batch],
-                                     self._cost, "ljf")
+        ordered = sweep._order_cells([cell for cell, *_ in batch], self._cost)
         for chunk in sweep._pack_chunks(ordered, self._cost, self.jobs):
             entries = [(cell,) + entry_of[cell.cell_id] for cell in chunk]
             task = asyncio.create_task(self._run_chunk(entries))

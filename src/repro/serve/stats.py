@@ -86,8 +86,8 @@ class ServerStats:
     @property
     def cache_hit_ratio(self) -> float:
         """Cells answered without a fresh simulation of their own —
-        hot + store + coalesced over all cells (the duplicate-heavy
-        loadgen gate tracks this)."""
+        hot + store + coalesced over all cells (the CI serve smoke
+        asserts it on a duplicate-heavy warm burst)."""
         if self.cells_total == 0:
             return 0.0
         return (self.hot_hits + self.store_hits + self.coalesced) / self.cells_total

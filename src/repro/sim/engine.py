@@ -55,12 +55,11 @@ class EventLoop:
         # Heap-mechanics counters (observability only; no scheduling effect).
         # A "cohort" is one drain of all heap entries sharing the exact head
         # clock; cohort_actors sums drain sizes so callers can derive the
-        # mean, cohort_max tracks the widest drain seen.
+        # mean.
         self.heap_pushes = 0
         self.heap_pops = 0
         self.cohorts = 0
         self.cohort_actors = 0
-        self.cohort_max = 0
 
     def add(self, actor: Actor) -> None:
         """Register a new actor, schedulable at its current clock."""
@@ -117,8 +116,6 @@ class EventLoop:
                 # exact pre-cohort semantics and one push on reschedule.
                 self.cohorts += 1
                 self.cohort_actors += 1
-                if self.cohort_max < 1:
-                    self.cohort_max = 1
                 self.steps += 1
                 if max_steps is not None and self.steps > max_steps:
                     raise SimulationError(
@@ -153,8 +150,6 @@ class EventLoop:
                 self.heap_pops += 1
             self.cohorts += 1
             self.cohort_actors += len(cohort)
-            if len(cohort) > self.cohort_max:
-                self.cohort_max = len(cohort)
             pending: List[Tuple[float, int, Actor]] = []
             while cohort:
                 if heap and heap[0] < cohort[0]:

@@ -4,8 +4,9 @@ The miss-path kernels have their own suite; this one covers the hit
 class and the peer fills around it: the bulk LRU touch
 (``CacheSystem.touch_run``), the segment classifier's hit / miss /
 scalar labelling (a block only peers hold is scalar, so peer-heavy
-batches pin the scalar span inside the segment route), the hot-replay
-fast path in ``access_run``, and the per-source fill-latency histogram.
+batches pin the scalar span inside the segment route), repeated
+resident ``access_run`` re-reads, and the per-source fill-latency
+histogram.
 The contract is unchanged: virtual times, LRU contents *and order*, the
 sharing directory, hit/miss/eviction statistics, per-core fill
 counters, and bandwidth server state must match a forced-scalar twin
@@ -29,6 +30,7 @@ from repro.hw.cache import CacheSystem
 from repro.hw.counters import SOURCE_INDEX, FillSource
 from repro.hw.memory import MemPolicy
 from repro.hw.topology import Topology
+from repro.obs.selfprof import KernelProfiler
 
 from repro.hw.machine import milan, sapphire_rapids, small_test_machine
 from tests.twins import assert_same_state, scalar_batch
@@ -95,18 +97,20 @@ def test_hit_heavy_bit_identical(mk, data):
 
 
 @pytest.mark.parametrize("mk", MACHINES.values(), ids=MACHINES.keys())
-def test_hot_replay_steady_state(mk):
-    """Repeated identical runs hit ``access_run``'s hot-replay fast path."""
+def test_resident_reruns_take_hit_kernel_and_match_scalar(mk):
+    """Repeated resident runs are serviced by the hit kernel, bit-equal
+    to the scalar twin."""
     m_vec, m_ref = mk(), mk()
+    prof = m_vec.profiler = KernelProfiler()
     # Half of one slice, so the whole region stays resident after pass 1
-    # (on the small test machine that is below VECTOR_MIN — the replay
-    # path then never fires and the scalar twin covers both sides).
+    # (on the small test machine that is below VECTOR_MIN — the hit
+    # kernel then never fires and the scalar twin covers both sides).
     size = max(m_vec.caches.caches[0].capacity_bytes // 2, m_vec.block_bytes)
     r_vec = m_vec.alloc_region(size, node=0, policy=MemPolicy.BIND, name="hot")
     r_ref = m_ref.alloc_region(size, node=0, policy=MemPolicy.BIND, name="hot")
     n = r_vec.n_blocks
     now = 0.0
-    for _ in range(5):  # pass 1 fills; passes 2+ take the replay path
+    for _ in range(5):  # pass 1 fills; passes 2+ take the hit kernel
         res_v = m_vec.access_run(0, r_vec, 0, n, now=now, mlp=4.0)
         res_r = scalar_batch(m_ref, 0, r_ref, range(n), now, mlp=4.0)
         assert res_v.ns == res_r.ns
@@ -119,6 +123,8 @@ def test_hot_replay_steady_state(mk):
     assert local["fills"] == 4 * n
     assert local["latency_ns"] > 0.0
     assert local["avg_ns"] == pytest.approx(m_vec.latency.l3_hit)
+    if n >= machine_mod.VECTOR_MIN:
+        assert prof.accesses["vec_hit"] == 4 * n
 
 
 # -- Peer-heavy: another chiplet holds every block ---------------------------

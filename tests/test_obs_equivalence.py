@@ -15,10 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.machine import milan, sapphire_rapids, small_test_machine
+from repro.obs.bus import EventBus
 from repro.obs.telemetry import Telemetry
 from repro.runtime.ops import AccessBatch, AccessRun, Compute, YieldPoint
 from repro.runtime.policy import CharmStrategy
 from repro.runtime.runtime import Runtime
+from tests.test_kernel_paths import shape_stream
 
 MACHINES = [
     pytest.param(small_test_machine, 4, id="small_test_machine"),
@@ -139,3 +141,27 @@ def test_full_telemetry_summary_matches_report(tiny):
     assert summary["wall_ns"] >= report.wall_ns
     assert summary["fills"] == report.fill_totals
     assert summary["migrations"] == sum(w.migrations for w in rt.workers)
+
+
+def test_null_telemetry_emits_per_batch_not_per_block(monkeypatch):
+    """Attached-idle telemetry costs O(batches), not O(blocks): with the
+    same number of stream batches, the ``EventBus.emit`` calls from the
+    machine and the caches do not grow from 64 to 256 blocks per batch."""
+    emit = EventBus.emit
+    tally = {}
+
+    def counting(bus, topic, fields):
+        tally[topic] = tally.get(topic, 0) + 1
+        emit(bus, topic, fields)
+
+    monkeypatch.setattr(EventBus, "emit", counting)
+
+    def counts_at(batch):
+        tally.clear()
+        rt = shape_stream(batch, n_batches=16)
+        Telemetry.null(rt)
+        rt.run()
+        return {t: n for t, n in tally.items() if t.startswith(("hw.", "cache."))}
+
+    small = counts_at(64)
+    assert small and counts_at(256) == small

@@ -32,7 +32,7 @@ from repro.runtime.ops import Compute, SimLock
 from repro.runtime.policy import CharmStrategy
 from repro.runtime.program import OpProgram
 from repro.runtime.runtime import Runtime
-from tests.twins import assert_same_state
+from tests.twins import assert_same_state, batched_task, run_task
 
 MACHINES = {
     "small_test_machine": small_test_machine,
@@ -162,8 +162,6 @@ def test_mixed_programs_match_generator_twin(mk, data):
 
 @pytest.mark.parametrize("mk", MACHINES.values(), ids=MACHINES.keys())
 def test_perf_batched_task_matches_twin(mk):
-    from repro.bench.perf import _batched_task
-
     def run():
         machine = mk()
         nw = _n_workers(machine)
@@ -174,7 +172,7 @@ def test_perf_batched_task_matches_twin(mk):
             base = wid * 128
             seq = list(range(base, base + 128))
             batches = [seq[s:s + 32] for s in range(0, 128, 32)]
-            runtime.spawn(_batched_task, region, batches, False, None,
+            runtime.spawn(batched_task, region, batches, False, None,
                           pin_worker=wid, name=f"peq-{wid}")
         report = runtime.run()
         return report, machine, runtime
@@ -184,8 +182,6 @@ def test_perf_batched_task_matches_twin(mk):
 
 @pytest.mark.parametrize("mk", MACHINES.values(), ids=MACHINES.keys())
 def test_perf_run_task_matches_twin(mk):
-    from repro.bench.perf import _run_task
-
     def run():
         machine = mk()
         nw = _n_workers(machine)
@@ -195,7 +191,7 @@ def test_perf_run_task_matches_twin(mk):
         for wid in range(nw):
             base = wid * 128
             runs = [(base + s, 32) for s in range(0, 128, 32)]
-            runtime.spawn(_run_task, region, runs, False, None,
+            runtime.spawn(run_task, region, runs, False, None,
                           pin_worker=wid, name=f"peq-{wid}")
         report = runtime.run()
         return report, machine, runtime

@@ -212,21 +212,3 @@ def test_no_obs_server_disables_surfaces():
     assert "slo" not in stats
     assert "slo" not in health
     assert health["status"] == "ok"
-
-
-def test_loadgen_trace_sample_and_slo_report():
-    from repro.bench.loadgen import run_load
-
-    with ServerThread(jobs=1, use_store=False) as srv:
-        async def go():
-            return await run_load(srv.url, requests=12, concurrency=4,
-                                  dup_ratio=0.5, trace_sample=0.5,
-                                  slo_ms=60_000.0)
-
-        report = asyncio.run(go())
-    assert report["errors"] == 0
-    assert report["traced_requests"] >= 1
-    assert report["slo"]["slo_ms"] == 60_000.0
-    assert report["slo"]["violations"] == 0
-    assert report["slo"]["server"] is not None
-    assert report["healthz_ok"]

@@ -197,6 +197,5 @@ def test_cohort_counters_track_wide_drains():
     loop.run()
     # All 8 actors share every clock: 3 cohorts of width 8.
     assert loop.cohorts == 3
-    assert loop.cohort_max == 8
     assert loop.cohort_actors == 24
     assert loop.heap_pops == loop.heap_pushes

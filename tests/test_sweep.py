@@ -151,12 +151,7 @@ def test_ljf_orders_by_estimated_cost():
     small = _cell(cores=2)
     big = _cell(cores=64)
     model = CostModel()  # uncalibrated: falls back to the work hint
-    ordered = sweep._order_cells([small, big], model, "ljf")
-    assert ordered == [big, small]
-    # fifo keeps caller order
-    assert sweep._order_cells([small, big], model, "fifo") == [small, big]
-    with pytest.raises(ValueError):
-        sweep._order_cells([small], model, "sjf")
+    assert sweep._order_cells([small, big], model) == [big, small]
 
 
 def test_chunk_packing_covers_all_cells_once():
@@ -164,7 +159,7 @@ def test_chunk_packing_covers_all_cells_once():
 
     cells = [_cell(cores=c) for c in range(1, 41)]
     model = CostModel()
-    ordered = sweep._order_cells(cells, model, "ljf")
+    ordered = sweep._order_cells(cells, model)
     chunks = sweep._pack_chunks(ordered, model, jobs=4)
     flat = [c.cell_id for chunk in chunks for c in chunk]
     assert sorted(flat) == sorted(c.cell_id for c in cells)
@@ -179,9 +174,6 @@ def test_parallel_chunked_matches_serial(cache):
     parallel, p_stats = sweep.run_cells(cells, jobs=2, use_cache=False)
     assert parallel == serial
     assert p_stats.chunks >= 1
-    fifo, _ = sweep.run_cells(cells, jobs=2, use_cache=False,
-                              order="fifo", chunked=False)
-    assert fifo == serial
 
 
 def test_stats_throughput_properties():

@@ -10,6 +10,7 @@ counters, fill-latency chains — bit for bit.
 from contextlib import contextmanager
 
 import repro.hw.machine as machine_mod
+from repro.runtime.program import OpProgram
 
 
 @contextmanager
@@ -35,3 +36,23 @@ def assert_same_state(m_fast, m_ref):
     for key in fast:
         assert fast[key] == ref[key], f"machine state mismatch in {key}"
     assert m_fast.caches.check_directory_consistent()
+
+
+def batched_task(region, batches, write, nbytes):
+    """One compiled program: each batch of ``batches`` then a yield."""
+    program = OpProgram()
+    for blocks in batches:
+        program.batch(region, blocks, write=write, nbytes=nbytes)
+        program.yield_()
+    yield program
+    return len(batches)
+
+
+def run_task(region, runs, write, nbytes):
+    """One compiled program: each ``(start, count)`` run then a yield."""
+    program = OpProgram()
+    for start, count in runs:
+        program.run(region, start, count, write=write, nbytes=nbytes)
+        program.yield_()
+    yield program
+    return len(runs)

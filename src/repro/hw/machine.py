@@ -356,11 +356,12 @@ class Machine:
         outstanding misses while queue waits push out the completion max.
         Batches over BIND/INTERLEAVE regions take the numpy kernels of
         :mod:`repro.hw.vector`: unsorted, duplicate-laden and write
-        batches are serviced whole by the gather kernel (including
-        batches that overflow the requester's slice); sorted batches it
-        does not take route their long miss and local-hit runs through
-        the segment kernels; peer fills, an unsorted batch it declines,
-        and every other shape take the scalar loop.
+        batches that fit the requester's slice are serviced whole by the
+        gather kernel; sorted batches it does not take route their long
+        miss and local-hit runs through the segment kernels; peer fills,
+        an unsorted batch it declines (one that overflows the slice, or
+        a slice of mixed block sizes), and every other shape take the
+        scalar loop.
         Both paths are bit-identical to the per-access servicing
         (``blocks`` may be a Python sequence or an int ndarray).
         """
@@ -441,7 +442,9 @@ class Machine:
         scalar) by :meth:`_service_segment`, which services the long hit
         and miss runs with the numpy kernels of :mod:`repro.hw.vector`
         and the rest as scalar spans.  An unsorted batch the gather
-        kernel declines takes the scalar loop whole.
+        kernel declines takes the scalar loop whole: every batch whose
+        fills would evict its own blocks fails the kernel's certificate
+        and goes there.
         """
         self.total_accesses += n
         if n == 0:
@@ -697,6 +700,16 @@ class Machine:
         shape (hits, peer fills, invalidations, REPLICATED homes).  Reads
         and writes the shared span ``state`` so vector segments and scalar
         spans interleave on one virtual-time line.
+
+        The loop makes no Python call in the common case.  It inlines the
+        max-plus recurrence of ``_Server.service`` on server handles
+        resolved once per span (same float operations, same order),
+        ``CacheSystem.fill`` with ``ChipletCache.insert`` and the victims'
+        directory bit clears, keeping the requester slice's ``used_bytes``,
+        ``evictions`` and ``_uniform_nb`` in locals (written back on exit,
+        raise included).  ``invalidate_others`` is called only when a peer
+        holds the block; otherwise it would return 0, and adding
+        ``0 * invalidate`` is a bitwise no-op.
         """
         prof = self.profiler
         span_t0 = perf_counter() if prof is not None else 0.0
@@ -730,103 +743,174 @@ class Machine:
         cache = caches.caches[chiplet]
         lru = cache._lru
         lru_pop = lru.pop
+        cap = cache.capacity_bytes
+        ins_nb = resident_bytes if resident_bytes < cap else cap
+        used = cache.used_bytes
+        evictions = cache.evictions
+        uniform = cache._uniform_nb
         fill_lat = self._fill_lat
-        dir_get = caches._dir.get
+        d = caches._dir
+        dir_get = d.get
         my_bit = 1 << chiplet
+        not_bit = ~my_bit
         smask = caches._socket_mask[my_socket]
-        cache_fill = caches.fill
         invalidate_others = caches.invalidate_others
-        links_service = self.links.service
-        xlinks_service = self.xlinks.service
-        channels_service = self.channels.service
-        # BIND regions have one home node for every block; resolve it once.
-        bind_home = region.home_node if region.policy is MemPolicy.BIND else None
-        node_of_block = region.node_of_block
+        # Server handles: fabric links by chiplet, the requester's own
+        # link, channels by (node, channel), and the cross-socket link to
+        # each other socket (None for the requester's own).
+        links = self.links._servers
+        my_link = links[chiplet]
+        chans = self.channels._servers
+        cps = self.channels.channels_per_socket
+        x_from_socket = self.xlinks.rows[my_socket]
+        x_from_node = self.xlinks.rows[my_node]
+        # DRAM home: Region.node_of_block, resolved per span; INTERLEAVE
+        # homes vary per block (``fixed_home`` None).
+        policy = region.policy
+        n_nodes = region.numa_nodes
+        fixed_home = (None if policy is MemPolicy.INTERLEAVE
+                      else my_node if policy is MemPolicy.REPLICATED
+                      else region.home_node)
 
         t, finish, inval_total, hits, misses = state
         span = blocks if i0 == 0 and i1 == len(blocks) else blocks[i0:i1]
-        for block in span:
-            if not 0 <= block < n_blocks:
-                raise ValueError(
-                    f"block {block} outside region '{region.name}' ({n_blocks} blocks)"
-                )
-            key = key_base | block
+        try:
+            for block in span:
+                if not 0 <= block < n_blocks:
+                    raise ValueError(
+                        f"block {block} outside region '{region.name}' ({n_blocks} blocks)"
+                    )
+                key = key_base | block
 
-            size = lru_pop(key, None)
-            if size is not None:
-                # Local L3 hit; re-inserting refreshes recency.
-                lru[key] = size
-                hits += 1
-                if write:
-                    inval = invalidate_others(chiplet, key)
-                    inval_total += inval
-                    ns = l3_hit_ns + inval * invalidate_ns
-                else:
+                size = lru_pop(key, None)
+                if size is not None:
+                    # Local L3 hit; re-inserting refreshes recency.
+                    lru[key] = size
+                    hits += 1
                     ns = l3_hit_ns
-                counts[IDX_LOCAL_CHIPLET] += 1
-                fill_lat[IDX_LOCAL_CHIPLET] += ns
-                completion = t + ns
-                if completion > finish:
-                    finish = completion
-                step = ns / mlp  # hits have no queue wait: latency == ns
-                t += step if step > per_issue_ns else per_issue_ns
-                continue
-            misses += 1
+                    if write and dir_get(key, 0) & not_bit:
+                        inval = invalidate_others(chiplet, key)
+                        inval_total += inval
+                        ns = l3_hit_ns + inval * invalidate_ns
+                    counts[IDX_LOCAL_CHIPLET] += 1
+                    fill_lat[IDX_LOCAL_CHIPLET] += ns
+                    completion = t + ns
+                    if completion > finish:
+                        finish = completion
+                    step = ns / mlp  # hits have no queue wait: latency == ns
+                    t += step if step > per_issue_ns else per_issue_ns
+                    continue
+                misses += 1
 
-            # Directory lookup: minimum-id holder per distance class, the
-            # same deterministic rule as CacheSystem.find_holder — lowest
-            # set bit of the same-socket subset, else of the whole mask.
-            m = dir_get(key, 0) & ~my_bit
-            holder = None
-            if m:
-                same = m & smask
-                cand = same if same else m
-                holder = (cand & -cand).bit_length() - 1
+                # Directory lookup: minimum-id holder per distance class, the
+                # same deterministic rule as CacheSystem.find_holder — lowest
+                # set bit of the same-socket subset, else of the whole mask.
+                m = dir_get(key, 0)
+                others = m & not_bit
+                if others:
+                    # Fill from a peer chiplet's L3: holder link, own link,
+                    # then the cross-socket link if the holder is remote.
+                    same = others & smask
+                    cand = same if same else others
+                    holder = (cand & -cand).bit_length() - 1
+                    holder_socket = socket_of[holder]
+                    if holder_socket == my_socket:
+                        ns = fill_same_ns
+                        latency = lat_peer_same
+                        src = IDX_REMOTE_CHIPLET
+                    else:
+                        ns = fill_cross_ns
+                        latency = lat_peer_cross
+                        src = IDX_REMOTE_NUMA_CHIPLET
+                    sv = links[holder]
+                    s_first = s_link
+                    xsv = x_from_socket[holder_socket]
+                else:
+                    # Fill from DRAM on the block's home node: channel, own
+                    # link, then the cross-socket link if the home is remote.
+                    home = fixed_home if fixed_home is not None else block % n_nodes
+                    if home == my_node:
+                        ns = dram_local_ns
+                        latency = lat_dram_local
+                        src = IDX_DRAM_LOCAL
+                    else:
+                        ns = dram_remote_ns
+                        latency = lat_dram_remote
+                        src = IDX_DRAM_REMOTE
+                    sv = chans[home][key % cps]
+                    s_first = s_chan
+                    xsv = x_from_node[home]
 
-            if holder is not None:
-                # Fill from a peer chiplet's L3.
-                holder_socket = socket_of[holder]
-                same_socket = holder_socket == my_socket
-                ns = fill_same_ns if same_socket else fill_cross_ns
-                latency = lat_peer_same if same_socket else lat_peer_cross
-                d, _ = links_service(holder, req_bytes, t)
-                ns += d
-                d, _ = links_service(chiplet, req_bytes, t)
-                ns += d
-                d, _ = xlinks_service(my_socket, holder_socket, req_bytes, t)
-                ns += d
-                cache_fill(chiplet, key, resident_bytes)
-                if write:
+                # _Server.service, inlined: free = max(free, t) + s.
+                free = sv.free_at
+                start = free if free > t else t
+                free = start + s_first
+                sv.free_at = free
+                sv.busy_ns += s_first
+                sv.wait_ns += start - t
+                sv.requests += 1
+                ns += free - t
+                free = my_link.free_at
+                start = free if free > t else t
+                free = start + s_link
+                my_link.free_at = free
+                my_link.busy_ns += s_link
+                my_link.wait_ns += start - t
+                my_link.requests += 1
+                ns += free - t
+                if xsv is not None:
+                    free = xsv.free_at
+                    start = free if free > t else t
+                    free = start + s_xlink
+                    xsv.free_at = free
+                    xsv.busy_ns += s_xlink
+                    xsv.wait_ns += start - t
+                    xsv.requests += 1
+                    ns += free - t
+
+                # CacheSystem.fill, inlined (the block missed, so it is not
+                # resident): evict from the LRU front until it fits, clear
+                # each victim's directory bit, insert, set ours.
+                if ins_nb <= 0:
+                    raise ValueError(f"cannot insert block with nbytes={resident_bytes}; "
+                                     "must be positive")
+                while used + ins_nb > cap and lru:
+                    for victim in lru:
+                        break
+                    used -= lru_pop(victim)
+                    evictions += 1
+                    vm = dir_get(victim)
+                    if vm is not None:
+                        vm &= not_bit
+                        if vm:
+                            d[victim] = vm
+                        else:
+                            del d[victim]
+                if not lru:
+                    uniform = ins_nb
+                elif uniform != ins_nb:
+                    uniform = None
+                lru[key] = ins_nb
+                used += ins_nb
+                d[key] = m | my_bit
+
+                if write and others:
                     inval = invalidate_others(chiplet, key)
                     inval_total += inval
                     ns += inval * invalidate_ns
                     latency = latency + inval * invalidate_ns
-                counts[IDX_REMOTE_CHIPLET if same_socket else IDX_REMOTE_NUMA_CHIPLET] += 1
-                fill_lat[IDX_REMOTE_CHIPLET if same_socket
-                         else IDX_REMOTE_NUMA_CHIPLET] += latency
-            else:
-                # Fill from DRAM on the block's home node.
-                home = bind_home if bind_home is not None else \
-                    node_of_block(block, requester_node=my_node)
-                local = home == my_node
-                ns = dram_local_ns if local else dram_remote_ns
-                latency = lat_dram_local if local else lat_dram_remote
-                d, _ = channels_service(home, key, req_bytes, t)
-                ns += d
-                d, _ = links_service(chiplet, req_bytes, t)
-                ns += d
-                if not local:
-                    d, _ = xlinks_service(my_node, home, req_bytes, t)
-                    ns += d
-                cache_fill(chiplet, key, resident_bytes)
-                counts[IDX_DRAM_LOCAL if local else IDX_DRAM_REMOTE] += 1
-                fill_lat[IDX_DRAM_LOCAL if local else IDX_DRAM_REMOTE] += latency
+                counts[src] += 1
+                fill_lat[src] += latency
 
-            completion = t + ns
-            if completion > finish:
-                finish = completion
-            step = latency / mlp  # overlap pure latency, not queue waits
-            t += step if step > per_issue_ns else per_issue_ns
+                completion = t + ns
+                if completion > finish:
+                    finish = completion
+                step = latency / mlp  # overlap pure latency, not queue waits
+                t += step if step > per_issue_ns else per_issue_ns
+        finally:
+            cache.used_bytes = used
+            cache.evictions = evictions
+            cache._uniform_nb = uniform
 
         state[0] = t
         state[1] = finish

@@ -196,8 +196,9 @@ class _Server:
 
     The recurrence is max-plus: ``free = max(free, now) + service``.  The
     vectorized kernels in :mod:`repro.hw.vector` reproduce this recurrence
-    bit-exactly for a whole batch of arrivals (see ``serve_constant``);
-    any change to the arithmetic here must be mirrored there.
+    bit-exactly for a whole batch of arrivals (see ``serve_constant``),
+    and ``Machine._scalar_span`` inlines it per access on the server
+    handles; any change to the arithmetic here must be mirrored in both.
     """
 
     __slots__ = ("free_at", "busy_ns", "wait_ns", "requests")
@@ -289,23 +290,26 @@ class CrossSocketLinks:
         for a in range(sockets):
             for b in range(a + 1, sockets):
                 self._servers[(a, b)] = _Server()
+        # ``rows[a][b]``: the server between sockets a and b, None when
+        # a == b — one list index per lookup for the access paths.
+        self.rows: List[List[Optional[_Server]]] = [
+            [self._servers[(min(a, b), max(a, b))] if a != b else None
+             for b in range(sockets)]
+            for a in range(sockets)
+        ]
 
     def service(self, socket_a: int, socket_b: int, nbytes: int, now: float) -> "Tuple[float, float]":
         """Returns ``(total_delay, queue_wait)``; zero for same-socket."""
         if socket_a == socket_b:
             return 0.0, 0.0
-        pair = (min(socket_a, socket_b), max(socket_a, socket_b))
-        return self._servers[pair].service(now, nbytes / self.bytes_per_ns)
+        return self.rows[socket_a][socket_b].service(now, nbytes / self.bytes_per_ns)
 
     def busy_ns(self, socket_a: int, socket_b: int) -> float:
-        pair = (min(socket_a, socket_b), max(socket_a, socket_b))
-        return self._servers[pair].busy_ns
+        return self.rows[socket_a][socket_b].busy_ns
 
     def server(self, socket_a: int, socket_b: int) -> Optional[_Server]:
         """Direct server handle, or ``None`` for a same-socket pair."""
-        if socket_a == socket_b:
-            return None
-        return self._servers[(min(socket_a, socket_b), max(socket_a, socket_b))]
+        return self.rows[socket_a][socket_b]
 
     def stats(self) -> List[Dict[str, float]]:
         out = []

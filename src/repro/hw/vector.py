@@ -28,18 +28,18 @@ and ``tests/test_gather_equivalence.py``.
 Irregular batches — unsorted, duplicate-laden, write batches with sharers
 — are serviced whole by the gather kernel (:func:`gather_segment`): one
 argsort groups the repeats, a directory lookup per unique block
-classifies them, and every access gets a service class from one of two
-classifiers — a unique-level certificate when the batch fits the
-requester's slice, an exact per-access LRU replay when its fills evict
-its own blocks — before one shared service tail
-(:func:`_service_accesses`) times the whole batch.  It declines, untouched,
-only for non-uniformly sized slices and for sorted-distinct batches that
-overflow the slice (those stream faster through the segment kernels).
+classifies them, a unique-level certificate proves that the batch's
+fills evict none of its own blocks before their first touch, and one
+shared service tail (:func:`_service_accesses`) times the whole batch.
+It declines, untouched, for non-uniformly sized slices and whenever the
+certificate fails — a batch that overflows the requester's slice, the
+shape of every DSE GUPS batch.
 
 Sorted batches (duplicate-free by construction) are classified whole,
 per *run* of equal service class, by ``Machine._service_segment`` (see
 MODELING.md for the full table); an unsorted batch the gather kernel
-declines takes the scalar loop:
+declines takes the scalar loop (``Machine._scalar_span``, which makes no
+Python call per block in the common case):
 
 - **miss** runs — blocks resident in no L3 slice — go to
   :func:`dram_fill_segment` (pure DRAM fills; writes service like reads
@@ -556,7 +556,8 @@ def _peer_holders(machine, chiplet: int,
 def _certify_evictions(lru, len0: int, maxlen: int, nu: int,
                        res_u: np.ndarray, first_pos: np.ndarray,
                        ukeys: np.ndarray):
-    """Unique-level eviction interleaving of a batch that fits the slice.
+    """Unique-level eviction interleaving of a batch that fits the slice
+    (``nu <= maxlen``: ``gather_segment`` declines wider batches first).
 
     Fills evict from the LRU front; a block classified as a hit whose
     first touch comes *after* its eviction is re-missed by the scalar
@@ -567,12 +568,10 @@ def _certify_evictions(lru, len0: int, maxlen: int, nu: int,
     the indices of resident uniques that must be *reclassified* as the
     fill the scalar loop performs (they appear both as victims and as
     fills).  Returns ``None`` when the batch's fills would evict the
-    batch's own blocks — the regime :func:`_replay_batch` services.
-    With no resident batch block the walk is empty and the victims are
-    the oldest entries.
+    batch's own blocks; the batch then takes the scalar loop.  With no
+    resident batch block the walk is empty and the victims are the
+    oldest entries.
     """
-    if nu > maxlen:
-        return None  # the batch alone outgrows the slice
     n_res0 = int(np.count_nonzero(res_u))
     if len0 + (nu - n_res0) <= maxlen:
         return [], []
@@ -659,40 +658,34 @@ def gather_segment(
     long run of one service class, this one takes the batch exactly as
     the workload issued it — random order, repeats and all.  One stable
     **argsort** groups the repeats, each *unique* block's holder mask is
-    read once from the directory (one C-level ``dict.get`` map), and then
-    one of two classifiers assigns every access its service class (0
-    resident hit, 1/2 local / remote DRAM fill, 3/4 same / cross-socket
-    peer fill):
+    read once from the directory (one C-level ``dict.get`` map), and a
+    **unique-level certificate** — an eviction-interleaving simulation
+    at the unique level (:func:`_certify_evictions`) — proves which
+    uniques are hits when first touched.  Every access then gets its
+    service class (0 resident hit, 1/2 local / remote DRAM fill, 3/4
+    same / cross-socket peer fill): the first touch services as
+    classified and every repeat is a local L3 hit (after a write's first
+    touch the requester is the block's sole holder, so repeat writes
+    invalidate nothing).  The LRU effect of repeats is a recency
+    refresh, so the slice's final tail is the unique blocks in
+    *last*-occurrence order.
 
-    - **unique-level certificate** (batches that fit the slice): an
-      eviction-interleaving simulation at the unique level
-      (:func:`_certify_evictions`) proves which uniques are hits when
-      first touched; the first touch services as classified and every
-      repeat is a local L3 hit (after a write's first touch the
-      requester is the block's sole holder, so repeat writes invalidate
-      nothing).  The LRU effect of repeats is a recency refresh, so the
-      slice's final tail is the unique blocks in *last*-occurrence order.
-    - **per-access replay** (batches whose fills would evict their own
-      blocks): :func:`_replay_batch` walks the batch once in order over
-      the requester's LRU dict, exactly like the cache half of the
-      scalar loop.
-
-    Both feed :func:`_service_accesses`, which builds arrival times in
-    batch order (one seeded cumsum over the per-access issue steps —
-    steps depend only on pure latency, never on queue waits, so every
-    arrival is known before any server is consulted) and serves every
-    bank's arrivals merged across classes in batch order; the directory
-    and peer invalidations are written back in bulk
-    (:func:`_writeback_directory`).
+    :func:`_service_accesses` builds arrival times in batch order (one
+    seeded cumsum over the per-access issue steps — steps depend only on
+    pure latency, never on queue waits, so every arrival is known before
+    any server is consulted) and serves every bank's arrivals merged
+    across classes in batch order; the directory and peer invalidations
+    are written back in bulk (:func:`_writeback_directory`).
 
     Declines — returning ``None`` with **no state mutated**, so the
     caller falls back to the segment route (sorted batches) or the scalar
     loop (unsorted ones) — when the region is not
     BIND/INTERLEAVE-shaped (non-uniformly sized resident entries, blocks
-    larger than the slice), and for *sorted-distinct* batches that
-    overflow the slice: those stream through ``dram_fill_segment``
-    several times faster than the replay.  Otherwise returns ``True``
-    when the batch carried duplicates, ``False`` for a duplicate-free one.
+    larger than the slice) and when the certificate fails: the batch's
+    fills would evict its own blocks.  A batch with more distinct blocks
+    than the slice holds (the certificate's first failure) is declined
+    before the argsort.  Otherwise returns ``True`` when the batch
+    carried duplicates, ``False`` for a duplicate-free one.
     """
     caches = machine.caches
     cache = caches.caches[chiplet]
@@ -707,6 +700,9 @@ def gather_segment(
     if cache.used_bytes != len0 * nb:
         return None
     n = arr.shape[0]
+    maxlen = cap // nb
+    if n > maxlen and len(set(arr.tolist())) > maxlen:
+        return None  # the certificate's first decline, before the argsort
 
     # -- argsort -> unique blocks ---------------------------------------------
     perm = np.argsort(arr, kind="stable")
@@ -722,28 +718,18 @@ def gather_segment(
     first_pos = perm[starts]
     ublocks = sorted_arr[starts]
     ukeys = keys[first_pos]
-    ukeys_list = ukeys.tolist()
 
     # -- classify uniques from their directory holder masks ------------------
-    masks = np.fromiter(map(caches._dir.get, ukeys_list, repeat(0)),
+    masks = np.fromiter(map(caches._dir.get, ukeys.tolist(), repeat(0)),
                         dtype=np.int64, count=nu)
     nbit = np.int64(1 << chiplet)
     res_u = (masks & nbit) != 0  # resident in requester's slice (invariant)
     others = masks & ~nbit
 
-    maxlen = cap // nb
     cert = _certify_evictions(lru, len0, maxlen, nu, res_u, first_pos,
                               ukeys)
     if cert is None:
-        if not has_dups and bool((arr[1:] > arr[:-1]).all()):
-            return None  # sorted-distinct overflow: dram_fill_segment
-        uid = np.empty(n, dtype=np.int64)
-        uid[perm] = np.cumsum(newgrp) - 1
-        _replay_batch(machine, region, chiplet, my_node, maxlen, nb, keys,
-                      uid, first_pos, ublocks, ukeys, ukeys_list, masks,
-                      others, t0, req_bytes, write, per_issue_ns, mlp, lats,
-                      counts, state)
-        return has_dups
+        return None
     victims, reclass = cert
     if reclass:
         # The scalar loop re-misses these: directory-wise their residency
@@ -793,111 +779,8 @@ def gather_segment(
     if reclass:
         again = set(ukeys[reclass].tolist())
         victims = [v for v in victims if v not in again]
-    _writeback_directory(caches, chiplet, ukeys, masks, others, None,
-                         victims, write)
+    _writeback_directory(caches, chiplet, ukeys, others, victims, write)
     return has_dups
-
-
-def _replay_batch(machine, region, chiplet: int, my_node: int, maxlen: int,
-                  nb: int, keys: np.ndarray, uid: np.ndarray,
-                  first_pos: np.ndarray, ublocks: np.ndarray,
-                  ukeys: np.ndarray, ukeys_list: List[int],
-                  masks: np.ndarray, others: np.ndarray, t0: float,
-                  req_bytes: int, write: bool, per_issue_ns: float,
-                  mlp: float, lats: Tuple[float, float, float, float],
-                  counts: List[int], state: list) -> None:
-    """Per-access classifier for batches that overflow the requester's slice.
-
-    One pass in batch order over the requester's LRU dict, mirroring the
-    cache half of ``Machine._scalar_span``: a hit refreshes recency, a
-    miss evicts the LRU front when the slice is full and inserts at the
-    tail; every entry it inserts is ``nb`` bytes, like the uniformly
-    sized slice it joins, so one eviction always makes room.  Only the
-    hit/miss outcome depends on the pass; the fill source of a miss
-    follows from pre-batch state alone, because within a batch the
-    requester's fills and evictions only ever change *its own* directory
-    bit and peers' slices change only through this batch's write
-    invalidations:
-
-    - a read miss fills from the min-id peer holder of the pre-batch
-      bitmask, or from the block's DRAM home when no peer holds it;
-    - a write invalidates every sharer on the block's first touch (hit or
-      fill), so that touch is classified like a read and every later
-      re-miss of the block — after a self-eviction — goes to DRAM.
-
-    Issue steps depend only on pure latency, so the per-access class
-    codes feed the shared service tail unchanged; mutation is exact by
-    construction (the pass *is* the scalar LRU walk), and the directory
-    follows in bulk from the final residency of each unique block.
-    """
-    caches = machine.caches
-    cache = caches.caches[chiplet]
-    lru = cache._lru
-    pop = lru.pop
-    n = keys.shape[0]
-    len0 = len(lru)
-    originals = list(lru)
-    room = maxlen - len0
-    hits: List[int] = []
-    hit_append = hits.append
-    accesses = enumerate(keys.tolist())
-    if room > 0:
-        # Room left: misses insert without evicting until the slice fills.
-        for i, k in accesses:
-            if pop(k, None) is None:
-                lru[k] = nb
-                room -= 1
-                if not room:
-                    break
-            else:
-                lru[k] = nb
-                hit_append(i)
-    # Full slice: every miss evicts the LRU front (every entry is ``nb``
-    # bytes, so one victim makes room).
-    for i, k in accesses:
-        if pop(k, None) is None:
-            for v in lru:
-                break
-            del lru[v]
-        else:
-            hit_append(i)
-        lru[k] = nb
-    n_miss = n - len(hits)
-    cache.evictions += n_miss - (len(lru) - len0)
-    cache.used_bytes = len(lru) * nb
-    cache._uniform_nb = nb
-
-    missed = np.ones(n, dtype=bool)
-    missed[hits] = False
-    miss_pos = np.flatnonzero(missed)
-    mu = uid[miss_pos]
-    mo = others[mu]
-    if write:
-        mo = np.where(first_pos[mu] == miss_pos, mo, 0)
-    peer = mo != 0
-    code = np.zeros(n, dtype=np.int8)
-    peer_pos = miss_pos[peer]
-    holders, code[peer_pos] = _peer_holders(machine, chiplet, mo[peer])
-    dram = ~peer
-    dram_pos = miss_pos[dram]
-    homes, code[dram_pos] = _dram_homes(region, my_node, ublocks[mu[dram]])
-    inv = None
-    if write:
-        inv = np.zeros(n, dtype=np.int64)
-        inv[first_pos] = np.bitwise_count(others)
-    _service_accesses(machine, chiplet, my_node, keys, code, inv, dram_pos,
-                      homes, peer_pos, holders, t0, req_bytes, per_issue_ns,
-                      mlp, lats, counts, state)
-
-    resident = np.fromiter(map(lru.__contains__, ukeys_list), dtype=bool,
-                           count=len(ukeys_list))
-    # Originals outside the batch can only have left by eviction.
-    victims = [k for k in originals if k not in lru]
-    if victims:
-        batch = set(ukeys_list)
-        victims = [k for k in victims if k not in batch]
-    _writeback_directory(caches, chiplet, ukeys, masks, others, resident,
-                         victims, write)
 
 
 def _service_accesses(machine, chiplet: int, my_node: int, keys: np.ndarray,
@@ -1077,34 +960,27 @@ def _service_accesses(machine, chiplet: int, my_node: int, keys: np.ndarray,
 
 
 def _writeback_directory(caches, chiplet: int, ukeys: np.ndarray,
-                         masks: np.ndarray, others: np.ndarray,
-                         resident: Optional[np.ndarray],
-                         victims: List[int], write: bool) -> None:
+                         others: np.ndarray, victims: List[int],
+                         write: bool) -> None:
     """Bulk directory update for one serviced batch.
 
-    ``ukeys``/``masks``/``others`` describe the batch's unique blocks
-    (pre-batch holder masks, ``0`` when absent, and their peer bits);
-    ``resident`` says which of them end the batch in the requester's
-    slice (``None``: all of them); ``victims`` lists the evicted keys
-    *outside* the batch.  The final state follows from those alone,
-    whatever order the scalar loop set and cleared bits in:
+    ``ukeys``/``others`` describe the batch's unique blocks (their
+    pre-batch peer bits), every one of which ends the batch in the
+    requester's slice; ``victims`` lists the evicted keys *outside* the
+    batch.  The final state follows from those alone, whatever order the
+    scalar loop set and cleared bits in:
 
     - a write drops every peer copy of each written block (one bulk
       :meth:`ChipletCache.drop_run` per peer slice), leaving the
-      requester the sole holder if it still holds the block;
-    - a read keeps the peer bits and sets the requester's bit iff the
-      block ended resident;
+      requester the sole holder;
+    - a read keeps the peer bits and sets the requester's;
     - an outside victim loses the requester's bit.
 
     Outside victims lose the bit in bulk
-    (:meth:`CacheSystem._dir_clear_bit_run`), emptied batch entries are
-    deleted, and every live batch entry is written with one
-    ``dict.update``.
+    (:meth:`CacheSystem._dir_clear_bit_run`) and every batch entry is
+    written with one ``dict.update``.
     """
-    d = caches._dir
     bit = 1 << chiplet
-    nbit = np.int64(bit)
-    res_bit = nbit if resident is None else np.where(resident, nbit, 0)
     if write:
         dropped = np.flatnonzero(others)
         if dropped.size:
@@ -1117,15 +993,11 @@ def _writeback_directory(caches, chiplet: int, ukeys: np.ndarray,
                 if k:
                     caches.caches[c].drop_run(peer_keys[b:b + k])
                     b += k
-        new = np.broadcast_to(res_bit, others.shape)
+        new = repeat(bit)
     else:
-        new = others | res_bit
+        new = (others | np.int64(bit)).tolist()
     caches._dir_clear_bit_run(victims, bit)
-    live = new != 0
-    gone = ~live & (masks != 0)
-    if gone.any():
-        deque(map(d.__delitem__, ukeys[gone].tolist()), maxlen=0)
-    d.update(zip(ukeys[live].tolist(), new[live].tolist()))
+    caches._dir.update(zip(ukeys.tolist(), new))
 
 
 def local_hit_segment(

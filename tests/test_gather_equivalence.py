@@ -21,12 +21,15 @@ tiny block pool, reverse-sorted batches, and mixed read/write sequences
 interleaved across cores so directory state carries between batches.
 
 The *overflow* regime — batches whose fills evict their own blocks, the
-shape every DSE GUPS batch takes on 8–64-block slices — is serviced by
-the per-access LRU replay.  The tiny-slice machines (the 8-block test
-machine and a DSE geometry built at scale 128) put every random batch
-there; dedicated cases pin re-misses after self-eviction (to the peer
-holder on reads, to DRAM after a write's first-touch invalidation) and
-assert that no block of those batches reaches the scalar loop.
+shape every DSE GUPS batch takes on 8–64-block slices — fails the
+certificate, so the gather kernel declines it untouched and the batch
+takes the scalar loop.  The tiny-slice machines (the 8-block test machine
+and a DSE geometry built at scale 128) put every random batch there;
+dedicated cases pin re-misses after self-eviction (to the peer holder on
+reads, to DRAM after a write's first-touch invalidation).  Because the
+forced-scalar twin *is* that loop, those cases also compare against
+:func:`tests.twins.replay_per_access`, which services every block through
+:meth:`Machine.access` and shares no code with it.
 """
 
 import numpy as np
@@ -34,25 +37,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.dse import DSE_MACHINE_SCALE
-from repro.hw.machine import (
-    MachineGeometry,
-    milan,
-    sapphire_rapids,
-    small_test_machine,
-)
+from repro.hw.machine import milan, sapphire_rapids, small_test_machine
 from repro.hw.counters import SOURCE_INDEX, FillSource
 from repro.hw.memory import MemPolicy
 from repro.obs.selfprof import KernelProfiler
-from tests.twins import assert_same_state, scalar_batch
+from tests.twins import (
+    assert_same_state,
+    dse_tiny128,
+    replay_per_access,
+    scalar_batch,
+)
 
 MACHINES = {
     "small_test_machine": small_test_machine,
     "milan32": lambda: milan(scale=32),
     "sapphire_rapids32": lambda: sapphire_rapids(scale=32),
-    # 2 sockets x 2 chiplets, 4 MiB / 128 = 8 blocks of 4 KiB per slice.
-    "dse_tiny128": lambda: MachineGeometry(
-        chiplets_per_socket=2, cores_per_chiplet=2, l3_mib_per_chiplet=4,
-        mem_channels_per_socket=4).build(scale=DSE_MACHINE_SCALE),
+    "dse_tiny128": dse_tiny128,
 }
 TINY = {k: MACHINES[k] for k in ("small_test_machine", "dse_tiny128")}
 
@@ -170,13 +170,18 @@ def _cores_on_distinct_chiplets(m, k):
 
 
 def _overflow_drive(mk, policy, warm, batches, blocks):
-    """Warm both twins through the scalar path, then drive ``batches``
-    with a profiler on the vector twin: bit-identity, and every access of
-    the overflowing batches serviced without the scalar loop."""
+    """Warm three twins, then drive ``batches`` through each: the batch
+    path (profiled), the forced-scalar twin and the per-access reference
+    (:func:`replay_per_access`).  All three agree bit for bit, and every
+    access of the overflowing batches takes the scalar loop."""
     m_vec, r_vec, m_ref, r_ref = _pair(mk, policy, blocks=blocks)
+    m_acc = mk()
+    r_acc = m_acc.alloc_region(blocks * m_acc.block_bytes, node=0,
+                               policy=policy, name="geq")
     now = 0.0
     for core, blks in warm:
         scalar_batch(m_vec, core, r_vec, blks, now)
+        replay_per_access(m_acc, core, r_acc, blks, now, None, False, 0.0, 1.0)
         now += scalar_batch(m_ref, core, r_ref, blks, now).ns
     prof = KernelProfiler()
     m_vec.profiler = prof
@@ -187,16 +192,18 @@ def _overflow_drive(mk, policy, warm, batches, blocks):
                                    now=now, write=write, mlp=4.0)
         res_s = scalar_batch(m_ref, core, r_ref, blks, now, write=write,
                              mlp=4.0)
-        assert (res_v.ns, res_v.finish, res_v.fill_counts,
-                res_v.invalidations) == (res_s.ns, res_s.finish,
-                                         res_s.fill_counts,
-                                         res_s.invalidations)
+        got = (res_v.ns, res_v.finish, res_v.fill_counts, res_v.invalidations)
+        assert got == (res_s.ns, res_s.finish, res_s.fill_counts,
+                       res_s.invalidations)
+        end, finish, counts, inval = replay_per_access(
+            m_acc, core, r_acc, np.asarray(blks).tolist(), now, None, write,
+            0.0, 4.0)
+        assert got == (end - now, finish, counts, inval)
         now += res_v.ns
         results.append(res_v)
     assert_same_state(m_vec, m_ref)
-    assert prof.accesses["scalar"] == 0
-    assert (prof.accesses["vec_gather"] + prof.accesses["vec_dup_replay"]
-            == sum(len(b) for _, b, _ in batches))
+    assert_same_state(m_vec, m_acc)
+    assert prof.accesses["scalar"] == sum(len(b) for _, b, _ in batches)
     return m_vec, r_vec, results
 
 
@@ -265,9 +272,10 @@ def test_overflow_duplicate_heavy_batches_across_cores(mk, policy):
     _overflow_drive(mk, policy, [], batches, blocks=6 * c)
 
 
-def test_dse_gups_cell_stays_off_the_scalar_path():
-    """A DSE GUPS cell: every update batch overflows the 64-block slice
-    and must be serviced by the replay, never by the scalar loop."""
+def test_dse_gups_cell_overflow_batches_take_the_scalar_loop():
+    """A DSE GUPS cell: its update batches overflow the 64-block slice,
+    fail the certificate and take the scalar loop; every update is
+    serviced by exactly one of the gather kernel and the scalar loop."""
     from repro.bench.dse import _geometry_of, dse_cells
     from repro.bench.experiments import _strategy_for
     from repro.workloads.gups import run_gups
@@ -280,8 +288,9 @@ def test_dse_gups_cell_stays_off_the_scalar_path():
     run_gups(m, _strategy_for(cell.strategy, m), cell.cores,
              p["table_bytes"], updates_per_worker=p["updates_per_worker"],
              seed=cell.seed)
-    assert prof.accesses["scalar"] == 0
+    assert prof.accesses["scalar"] > 0
     assert (prof.accesses["vec_gather"] + prof.accesses["vec_dup_replay"]
+            + prof.accesses["scalar"]
             == cell.cores * p["updates_per_worker"])
 
 

@@ -21,18 +21,13 @@ Layout.  Both structures are plain dicts:
   chiplet *c* holds the block.
 
 The bitmask keeps the min-id-holder rule a lowest-set-bit extraction, and
-a holder set costs one int instead of a ``set`` object; the vector
-kernels in :mod:`repro.hw.vector` read a batch's masks with one C-level
-``dict.get`` map.  ``directory`` remains available as a ``{block: set}``
-snapshot property.
+a holder set costs one int instead of a ``set`` object.  ``directory``
+remains available as a ``{block: set}`` snapshot property.
 """
 
 import sys
 from collections import deque
-from itertools import islice, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Set
-
-import numpy as np
 
 from repro.hw.topology import Topology
 
@@ -45,7 +40,7 @@ class ChipletCache:
     """
 
     __slots__ = ("chiplet", "capacity_bytes", "used_bytes", "_lru", "hits",
-                 "misses", "evictions", "_uniform_nb")
+                 "misses", "evictions")
 
     def __init__(self, chiplet: int, capacity_bytes: int):
         if capacity_bytes < 64:
@@ -54,11 +49,6 @@ class ChipletCache:
         self.capacity_bytes = capacity_bytes
         self.used_bytes = 0
         self._lru: Dict[int, int] = {}
-        # Resident-entry size summary: 0 = empty slice, an int = every
-        # entry is that many bytes, None = mixed sizes.  Lets fill_run
-        # and the gather kernel compute eviction prefixes with integer
-        # arithmetic instead of a cumulative sum over the whole slice.
-        self._uniform_nb: Optional[int] = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -96,10 +86,6 @@ class ChipletCache:
             self.used_bytes -= lru.pop(victim)
             self.evictions += 1
             evicted.append(victim)
-        if not lru:
-            self._uniform_nb = nbytes
-        elif self._uniform_nb != nbytes:
-            self._uniform_nb = None
         lru[block] = nbytes
         self.used_bytes += nbytes
         return evicted
@@ -110,15 +96,7 @@ class ChipletCache:
         if nb is None:
             return False
         self.used_bytes -= nb
-        if not self._lru:
-            self._uniform_nb = 0
         return True
-
-    def drop_run(self, blocks: Sequence[int]) -> None:
-        """Bulk :meth:`drop` of distinct blocks that are all resident."""
-        self.used_bytes -= sum(map(self._lru.pop, blocks))
-        if not self._lru:
-            self._uniform_nb = 0
 
     def blocks(self) -> Iterable[int]:
         return self._lru.keys()
@@ -150,8 +128,8 @@ class CacheSystem:
         self._socket_mask: List[int] = [0] * n_sockets
         for ch in range(topo.total_chiplets):
             self._socket_mask[self._socket_of[ch]] |= 1 << ch
-        # Telemetry event bus (repro.obs) or None.  The bulk entry points
-        # below emit one event per *run* (the vector kernels' granularity),
+        # Telemetry event bus (repro.obs) or None.  The bulk touch below
+        # emits one event per *run* (the local-hit kernel's granularity),
         # guarded by a single None check — nothing fires per block.
         self.obs = None
 
@@ -184,15 +162,6 @@ class CacheSystem:
             d[block] = m
         else:
             del d[block]
-
-    def _dir_clear_bit_run(self, blocks: Sequence[int], bit: int) -> None:
-        """Bulk :meth:`_dir_clear_bit` of distinct blocks that all hold
-        ``bit``.  In the steady state no peer shares one, so every entry
-        simply goes; a shared one re-enters with the peers' bits."""
-        d = self._dir
-        masks = list(map(d.pop, blocks))
-        if masks.count(bit) != len(masks):
-            d.update((b, m & ~bit) for b, m in zip(blocks, masks) if m != bit)
 
     def remove_holder(self, block: int, chiplet: int) -> None:
         """Drop ``chiplet``'s copy of ``block`` from its slice and the
@@ -274,94 +243,6 @@ class CacheSystem:
         deque(map(lru.__delitem__, uniq), maxlen=0)
         lru.update(reversed(uniq.items()))
         cache.hits += len(blocks)
-
-    def fill_run(self, chiplet: int, blocks: Sequence[int], nbytes: int) -> int:
-        """Bulk-install ``blocks`` into ``chiplet``'s slice; return evictions.
-
-        Exact equivalent of calling :meth:`fill` once per block *in order*,
-        under the preconditions the DRAM-fill kernel guarantees: the
-        blocks are distinct, uniformly ``nbytes`` large, and resident in
-        **no** slice (so no LRU refreshes, and inserts create fresh
-        singleton directory entries).
-
-        Because every insert is the same size and evictions pop from the
-        LRU front, the victim set is a *prefix* of the current LRU order —
-        possibly followed by a prefix of ``blocks`` itself when the run
-        overflows the slice capacity.  When the slice's resident entries
-        are uniformly sized (the streaming steady state, tracked by
-        ``_uniform_nb``) the prefix is pure integer arithmetic; mixed
-        slices pay one cumulative sum over the resident sizes in LRU
-        order.  The survivors then enter both dicts in one bulk update
-        each.
-        """
-        obs = self.obs
-        if obs is not None:
-            obs.emit("cache.fill_run", {"chiplet": chiplet, "n": len(blocks)})
-        cache = self.caches[chiplet]
-        cap = cache.capacity_bytes
-        if nbytes <= 0:
-            raise ValueError(f"cannot insert block with nbytes={nbytes}; must be positive")
-        nb = min(nbytes, cap)
-        k = len(blocks)
-        lru = cache._lru
-        d = self._dir
-        len0 = len(lru)
-        used0 = cache.used_bytes
-        bit = 1 << chiplet
-        overflow = used0 + k * nb - cap
-        n_evicted = 0
-        first_kept = 0  # blocks[:first_kept] are self-evicted by later inserts
-        if overflow > 0:
-            uni = cache._uniform_nb
-            if uni is not None and len0 * (uni or 0) == used0:
-                # Every resident entry is `uni` bytes (used0 == len0*uni
-                # re-checks the bookkeeping): prefix math is integer-only.
-                if len0 and overflow <= used0:
-                    n_evicted = -(-overflow // uni)
-                    evicted_bytes = n_evicted * uni
-                else:
-                    n_evicted = len0
-                    evicted_bytes = used0
-                    first_kept = -(-(overflow - evicted_bytes) // nb)
-            else:
-                cum = np.cumsum(np.fromiter(lru.values(), dtype=np.int64,
-                                            count=len0))
-                if len0 and overflow <= int(cum[-1]):
-                    # A prefix of the existing entries covers the overflow.
-                    n_evicted = int(np.searchsorted(cum, overflow, side="left")) + 1
-                    evicted_bytes = int(cum[n_evicted - 1])
-                else:
-                    # Everything resident goes, plus a prefix of this run.
-                    n_evicted = len0
-                    evicted_bytes = int(cum[-1]) if len0 else 0
-                    first_kept = -(-(overflow - evicted_bytes) // nb)
-            if n_evicted == len0:
-                # Whole-slice turnover: one C-level clear instead of a
-                # per-victim delete loop.
-                victims = list(lru)
-                lru.clear()
-            else:
-                victims = list(islice(lru, n_evicted))
-                deque(map(lru.__delitem__, victims), maxlen=0)
-            self._dir_clear_bit_run(victims, bit)
-            cache.used_bytes = used0 - evicted_bytes
-        cache.evictions += n_evicted + first_kept
-        if n_evicted == len0 or cache._uniform_nb == 0:
-            cache._uniform_nb = nb
-        elif cache._uniform_nb != nb:
-            cache._uniform_nb = None
-        n_ins = k - first_kept
-        if n_ins:
-            cache.used_bytes += n_ins * nb
-            survivors = blocks[first_kept:] if first_kept else blocks
-            # Pairs, not a dict.fromkeys temporary: a run can be as long
-            # as the slice, and a transient dict that size raises peak RSS.
-            lru.update(zip(survivors, repeat(nb)))
-            # Precondition (blocks resident in no slice) + the directory
-            # invariant (membership == residency in some slice) guarantee
-            # none of the inserted blocks has a directory entry yet.
-            d.update(zip(survivors, repeat(bit)))
-        return n_evicted + first_kept
 
     def invalidate_others(self, chiplet: int, block: int) -> int:
         """Drop every copy of ``block`` except ``chiplet``'s; return count."""

@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hw import vector
 from repro.hw.cache import CacheSystem
 from repro.hw.counters import (
     IDX_DRAM_LOCAL,
@@ -58,17 +57,37 @@ KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
 
-#: Minimum batch length — and minimum contiguous vector-eligible span —
-#: for the numpy kernels to engage; shorter shapes use the scalar loop.
-#: The array kernels carry a fixed per-segment setup cost (a handful of
-#: numpy allocations per touched server), so short segments are cheaper
-#: to interpret scalarly.
+#: Minimum batch length — and minimum run of resident blocks — for the
+#: local-hit kernel to engage; shorter shapes use the scalar loop, which
+#: is cheaper than the kernel's fixed setup on short runs.
 VECTOR_MIN = 32
 
 #: Segment-classification labels (``Machine._classify_runs``).
 _HIT = -1
 _MISS = -2
 _SCALAR = -3
+
+# Above this many repeats, replaying a constant ``+= s`` chain with a
+# seeded cumsum beats the interpreter loop; below it, the numpy call
+# overhead dominates.
+_CHAIN_LOOP_MAX = 48
+
+
+def _chain(x0: float, m: int, s: float) -> float:
+    """Endpoint of ``m`` sequential ``x0 += s`` updates, bit-exactly.
+
+    Floating-point addition is not associative, so ``x0 + m * s`` would
+    diverge from the scalar loop; a seeded ``np.cumsum`` accumulates
+    left-to-right in IEEE double exactly like the interpreter.
+    """
+    if m <= _CHAIN_LOOP_MAX:
+        for _ in range(m):
+            x0 += s
+        return x0
+    acc = np.empty(m + 1)
+    acc[0] = x0
+    acc[1:] = s
+    return float(acc.cumsum()[-1])
 
 
 @dataclass(frozen=True)
@@ -163,8 +182,9 @@ class Machine:
         self.total_accesses = 0
         # Machine-wide pure fill latency (no queue waits) accumulated per
         # source, dense SOURCE_INDEX order — the per-source histogram in
-        # bandwidth_stats().  Part of the vector kernels' bit-identity
-        # contract: scalar and vector paths accumulate the same chains.
+        # bandwidth_stats().  Part of the access paths' bit-identity
+        # contract: the scalar span and the local-hit kernel accumulate
+        # the same chains as per-access servicing.
         self._fill_lat = [0.0] * N_SOURCES
         # Flat topology tables, bound once: the access paths index these
         # instead of re-deriving ids arithmetically per access.
@@ -354,16 +374,11 @@ class Machine:
         ``Worker._do_batch`` — each access is serviced at the batch's
         rolling issue time ``t``, pure latency overlaps across ``mlp``
         outstanding misses while queue waits push out the completion max.
-        Batches over BIND/INTERLEAVE regions take the numpy kernels of
-        :mod:`repro.hw.vector`: unsorted, duplicate-laden and write
-        batches that fit the requester's slice are serviced whole by the
-        gather kernel; sorted batches it does not take route their long
-        miss and local-hit runs through the segment kernels; peer fills,
-        an unsorted batch it declines (one that overflows the slice, or
-        a slice of mixed block sizes), and every other shape take the
-        scalar loop.
-        Both paths are bit-identical to the per-access servicing
-        (``blocks`` may be a Python sequence or an int ndarray).
+        Every block takes the scalar loop (``_scalar_span``) except the
+        long runs of local hits in a sorted batch over a BIND/INTERLEAVE
+        region, which take the local-hit kernel.  Both paths are
+        bit-identical to the per-access servicing (``blocks`` may be a
+        Python sequence or an int ndarray).
         """
         arr = None
         seq = None
@@ -393,12 +408,12 @@ class Machine:
     ) -> BatchResult:
         """Service a run-compressed batch: blocks ``start + i*stride``.
 
-        The run never materializes a per-block Python list: bounds are
-        validated in O(1), the block vector is a numpy ``arange``, and the
-        run is guaranteed duplicate-free by construction — the shape the
-        streaming workloads (sequential scans, strided column walks) emit
-        through :class:`repro.runtime.ops.AccessRun`.  Results are
-        bit-identical to ``access_batch(core, region, list(...))``.
+        Bounds are validated in O(1), and the run is sorted and
+        duplicate-free by construction, so it takes the sorted-batch route
+        without a per-block check — the shape the streaming workloads
+        (sequential scans, strided column walks) emit through
+        :class:`repro.runtime.ops.AccessRun`.  Results are bit-identical
+        to ``access_batch(core, region, list(...))``.
         """
         if count < 0:
             raise ValueError("run count must be non-negative")
@@ -432,19 +447,15 @@ class Machine:
         mlp: float,
         validated: bool,
     ) -> BatchResult:
-        """Shared batch/run servicing: gather, classify, vectorize, fall back.
+        """Shared batch/run servicing: bounds, route, one span state.
 
-        Short batches and REPLICATED regions take the scalar loop.  Write
-        and unsorted batches go to the gather kernel, which services them
-        whole or declines untouched.  A sorted batch — an ``access_run``,
-        a sorted read, or a sorted write the gather kernel declined — is
-        classified whole into runs of equal service class (hit / miss /
-        scalar) by :meth:`_service_segment`, which services the long hit
-        and miss runs with the numpy kernels of :mod:`repro.hw.vector`
-        and the rest as scalar spans.  An unsorted batch the gather
-        kernel declines takes the scalar loop whole: every batch whose
-        fills would evict its own blocks fails the kernel's certificate
-        and goes there.
+        Short batches, REPLICATED regions and unsorted batches (reads or
+        writes, repeats or not) take the scalar loop whole.  A sorted
+        batch — an ``access_run`` or a strictly increasing read or write
+        batch — goes to :meth:`_service_segment`, which services its long
+        runs of local hits with the local-hit kernel and everything else
+        as scalar spans.  Every block of a batch is bounds-checked before
+        any state changes.
         """
         self.total_accesses += n
         if n == 0:
@@ -460,19 +471,17 @@ class Machine:
                 arr = np.asarray(seq, dtype=np.int64)
             except (TypeError, ValueError):
                 vec = False
-        sorted_inc = True
         if vec and not validated:
             # Sorted batches (np.unique output, scans) prove distinctness
             # in O(n) and expose their bounds at the endpoints; anything
-            # else pays min/max reductions (and routes to the gather
-            # kernel below, which tolerates duplicates directly).
-            sorted_inc = bool(np.all(arr[1:] > arr[:-1]))
-            if sorted_inc:
+            # else pays min/max reductions and takes the scalar loop.
+            if bool(np.all(arr[1:] > arr[:-1])):
                 lo = int(arr[0])
                 hi = int(arr[-1])
             else:
                 lo = int(arr.min())
                 hi = int(arr.max())
+                vec = False
             if lo < 0 or hi >= region.n_blocks:
                 raise ValueError(
                     f"block {lo if lo < 0 else hi} outside region "
@@ -480,54 +489,14 @@ class Machine:
                 )
 
         chiplet = self._chiplet_of_core[core]
-        if not vec:
-            if seq is None:
-                seq = arr.tolist()
+        if seq is None:
+            seq = arr.tolist()
+        if vec:
+            self._service_segment(core, region, chiplet, seq, arr, req_bytes,
+                                  write, per_issue_ns, mlp, counts, state)
+        else:
             self._scalar_span(core, region, seq, 0, n, req_bytes, write,
                               per_issue_ns, mlp, counts, state)
-        else:
-            my_node = self._numa_of_core[core]
-            s_chan = req_bytes / self.channels.bytes_per_ns
-            s_link = req_bytes / self.links.bytes_per_ns
-            s_xlink = req_bytes / self.xlinks.bytes_per_ns
-            lat = self.latency
-            # Pure-latency constants in server-visit order — the same
-            # expressions _scalar_span builds, shared by every kernel.
-            lats = (
-                (lat.dram_local + s_chan) + s_link,
-                ((lat.dram_remote + s_chan) + s_link) + s_xlink,
-                (lat.fill_same_socket + s_link) + s_link,
-                ((lat.fill_cross_socket + s_link) + s_link) + s_xlink,
-            )
-            keys = arr + np.int64(region.region_id << Region._KEY_SHIFT)
-            serviced = False
-            if not validated and (write or not sorted_inc):
-                # Irregular shapes — unsorted spans, duplicates, write
-                # batches with sharers — go to the gather kernel, which
-                # services the whole batch or declines untouched.
-                prof = self.profiler
-                pt0 = perf_counter() if prof is not None else 0.0
-                g = vector.gather_segment(
-                    self, region, chiplet, my_node, arr, keys, now,
-                    req_bytes, write, per_issue_ns, mlp, lats, counts, state,
-                )
-                if g is not None:
-                    serviced = True
-                    if prof is not None:
-                        prof.add("vec_dup_replay" if g else "vec_gather",
-                                 n, perf_counter() - pt0)
-            if not serviced:
-                if seq is None:
-                    seq = arr.tolist()
-                if sorted_inc:
-                    self._service_segment(
-                        core, region, chiplet, my_node, seq, arr, keys,
-                        req_bytes, write, per_issue_ns, mlp, lats, counts,
-                        state,
-                    )
-                else:
-                    self._scalar_span(core, region, seq, 0, n, req_bytes,
-                                      write, per_issue_ns, mlp, counts, state)
 
         cache = self.caches.caches[chiplet]
         cache.hits += state[3]
@@ -550,28 +519,25 @@ class Machine:
         core: int,
         region: Region,
         chiplet: int,
-        my_node: int,
         seq: Sequence[int],
         arr: np.ndarray,
-        keys: np.ndarray,
         req_bytes: int,
         write: bool,
         per_issue_ns: float,
         mlp: float,
-        lats: Tuple[float, float, float, float],
         counts: List[int],
         state: list,
     ) -> None:
         """Classify and service a whole sorted (duplicate-free) batch.
 
-        Splits the batch into maximal runs of equal service class and
-        routes each long hit or miss run to its kernel — miss runs to
-        :func:`repro.hw.vector.dram_fill_segment`, hit runs to
-        :func:`~repro.hw.vector.local_hit_segment`.  A long scalar run
-        (peer fills, invalidating writes) is serviced as a scalar span
-        when it is reached; short runs of any class, and hit runs the
-        guard demotes, merge into the pending scalar span ahead of the
-        next serviced run.
+        Splits the batch into maximal runs of equal service class (hit /
+        miss / scalar) and routes each long hit run to the local-hit
+        kernel (:meth:`_local_hit_segment`).  A long miss or scalar run
+        (DRAM fills; peer fills, invalidating writes) is serviced as one
+        scalar span, together with the pending prefix, when it is
+        reached; short runs of any class, and hit runs the guard demotes,
+        merge into the pending scalar span ahead of the next serviced
+        run.
 
         Classifying the whole batch up front is sound because it is
         duplicate-free: servicing one block cannot change a *different*
@@ -585,7 +551,7 @@ class Machine:
         caches = self.caches
         d = caches._dir
         cache = caches.caches[chiplet]
-        keys_list = keys.tolist()
+        keys_list = (arr + np.int64(region.region_id << Region._KEY_SHIFT)).tolist()
         n = len(keys_list)
         # Fast paths for the two homogeneous steady states: a streaming
         # batch resident nowhere (one C-level disjointness check) and a
@@ -605,47 +571,69 @@ class Machine:
             n_run = r1 - r0
             if n_run < VECTOR_MIN:
                 continue
-            if lab == _SCALAR:
-                # A long scalar run (peer fills, invalidating writes) is
-                # serviced now, with the pending prefix, so that its
-                # evictions reach the next hit run's guard.
+            if lab != _HIT:
+                # A long miss or scalar run is serviced now, with the
+                # pending prefix, so that its evictions reach the next
+                # hit run's guard.
                 self._scalar_span(core, region, seq, pos, r1, req_bytes,
                                   write, per_issue_ns, mlp, counts, state)
                 pos = r1
                 continue
-            if lab == _HIT and cache.evictions != ev0:
+            if cache.evictions != ev0:
                 continue
             if pos < r0:
                 self._scalar_span(core, region, seq, pos, r0, req_bytes,
                                   write, per_issue_ns, mlp, counts, state)
-            whole = r0 == 0 and r1 == n
-            kl = keys_list if whole else keys_list[r0:r1]
             pt0 = perf_counter() if prof is not None else 0.0
-            if lab == _MISS:
-                vector.dram_fill_segment(
-                    self, region, chiplet, my_node,
-                    arr if whole else arr[r0:r1],
-                    keys if whole else keys[r0:r1],
-                    kl, req_bytes, per_issue_ns, mlp, lats, counts, state,
-                )
-                path = "vec_miss"
-            else:
-                t_end, fin = vector.local_hit_segment(
-                    self, chiplet, kl, state[0], per_issue_ns, mlp,
-                )
-                # touch_run counted the hits on the slice directly; the
-                # span state must not double-count them in the finale.
-                counts[IDX_LOCAL_CHIPLET] += n_run
-                state[0] = t_end
-                if fin > state[1]:
-                    state[1] = fin
-                path = "vec_hit"
+            self._local_hit_segment(
+                chiplet, keys_list if n_run == n else keys_list[r0:r1],
+                per_issue_ns, mlp, counts, state)
             if prof is not None:
-                prof.add(path, n_run, perf_counter() - pt0)
+                prof.add("vec_hit", n_run, perf_counter() - pt0)
             pos = r1
         if pos < n:
             self._scalar_span(core, region, seq, pos, n, req_bytes, write,
                               per_issue_ns, mlp, counts, state)
+
+    def _local_hit_segment(
+        self,
+        chiplet: int,
+        keys_list: List[int],
+        per_issue_ns: float,
+        mlp: float,
+        counts: List[int],
+        state: list,
+    ) -> None:
+        """Service a run of local L3 hits: one bulk LRU touch + a clock replay.
+
+        Preconditions (established by the caller's classification): every key
+        is resident in ``chiplet``'s slice, and for write batches this chiplet
+        is each block's *only* holder — so the scalar path's
+        ``invalidate_others`` is a no-op and reads and writes service
+        identically at the bare ``l3_hit`` latency.
+
+        Hits touch no servers and carry no queue waits, so the whole run
+        collapses to scalar arithmetic: the issue clock advances by one
+        constant step (replayed bit-exactly with :func:`_chain`), the slowest
+        completion is the last arrival plus the hit latency, and the LRU
+        recency/hit-counter effects are one :meth:`CacheSystem.touch_run`.
+        ``touch_run`` counts the hits on the slice directly, so the span
+        ``state`` does not.
+        """
+        n = len(keys_list)
+        ns = self.latency.l3_hit
+        step = ns / mlp  # hits have no queue wait: latency == ns
+        if per_issue_ns > step:
+            step = per_issue_ns
+        t_last = _chain(state[0], n - 1, step)
+        self.caches.touch_run(chiplet, keys_list)
+        fl = self._fill_lat
+        fl[IDX_LOCAL_CHIPLET] = _chain(fl[IDX_LOCAL_CHIPLET], n, ns)
+        counts[IDX_LOCAL_CHIPLET] += n
+        state[0] = t_last + step
+        fin = t_last + ns
+        if fin > state[1]:
+            state[1] = fin
 
     def _classify_runs(
         self, chiplet: int, keys_list: List[int], write: bool,
@@ -696,18 +684,19 @@ class Machine:
     ) -> None:
         """Scalar servicing of ``blocks[i0:i1]`` with hoisted invariants.
 
-        The per-block loop of the original fast path: handles every access
-        shape (hits, peer fills, invalidations, REPLICATED homes).  Reads
-        and writes the shared span ``state`` so vector segments and scalar
-        spans interleave on one virtual-time line.
+        The per-block loop that services every block except the local-hit
+        kernel's runs: hits, DRAM and peer fills, invalidations, repeats,
+        overflowing batches and REPLICATED homes.  Reads and writes the
+        shared span ``state`` so hit runs and scalar spans interleave on
+        one virtual-time line.
 
         The loop makes no Python call in the common case.  It inlines the
         max-plus recurrence of ``_Server.service`` on server handles
         resolved once per span (same float operations, same order),
         ``CacheSystem.fill`` with ``ChipletCache.insert`` and the victims'
-        directory bit clears, keeping the requester slice's ``used_bytes``,
-        ``evictions`` and ``_uniform_nb`` in locals (written back on exit,
-        raise included).  ``invalidate_others`` is called only when a peer
+        directory bit clears, keeping the requester slice's ``used_bytes``
+        and ``evictions`` in locals (written back on exit, raise
+        included).  ``invalidate_others`` is called only when a peer
         holds the block; otherwise it would return 0, and adding
         ``0 * invalidate`` is a bitwise no-op.
         """
@@ -730,7 +719,7 @@ class Machine:
         dram_local_ns = lat.dram_local
         dram_remote_ns = lat.dram_remote
         # Pure-latency constants (base + service times, in server-visit
-        # order) — the same expressions the vector kernel broadcasts.
+        # order).
         s_chan = req_bytes / self.channels.bytes_per_ns
         s_link = req_bytes / self.links.bytes_per_ns
         s_xlink = req_bytes / self.xlinks.bytes_per_ns
@@ -747,7 +736,6 @@ class Machine:
         ins_nb = resident_bytes if resident_bytes < cap else cap
         used = cache.used_bytes
         evictions = cache.evictions
-        uniform = cache._uniform_nb
         fill_lat = self._fill_lat
         d = caches._dir
         dir_get = d.get
@@ -886,10 +874,6 @@ class Machine:
                             d[victim] = vm
                         else:
                             del d[victim]
-                if not lru:
-                    uniform = ins_nb
-                elif uniform != ins_nb:
-                    uniform = None
                 lru[key] = ins_nb
                 used += ins_nb
                 d[key] = m | my_bit
@@ -910,7 +894,6 @@ class Machine:
         finally:
             cache.used_bytes = used
             cache.evictions = evictions
-            cache._uniform_nb = uniform
 
         state[0] = t
         state[1] = finish
@@ -976,8 +959,8 @@ class Machine:
         """Every piece of mutable machine state, as comparable values.
 
         The equivalence contract of the access paths: two machines that
-        serviced the same accesses through different paths (vector
-        kernels vs the forced-scalar twin, compiled programs vs the
+        serviced the same accesses through different paths (the
+        local-hit kernel vs the forced-scalar twin, compiled programs vs the
         generator twin) must have equal fingerprints.  Covers each
         slice's LRU order with resident sizes, the sharing directory,
         per-slice hit/miss/eviction counters and ``used_bytes``, the
@@ -1195,8 +1178,8 @@ class MachineGeometry:
                 f"link_latency_scale must be in (0, {self._MAX_LINK_SCALE}], "
                 f"got {self.link_latency_scale}")
         if self.sockets * self.chiplets_per_socket > 63:
-            # The cache directory and the vector kernels hold one int64
-            # holder bit per chiplet.
+            # The cache directory holds one holder bit per chiplet, for
+            # at most 63 chiplets (CacheSystem).
             problems.append(
                 f"sockets * chiplets_per_socket must be <= 63, got "
                 f"{self.sockets * self.chiplets_per_socket}")

@@ -19,7 +19,7 @@ queues in virtual time: a request arriving at ``now`` waits until the
 server is free, then occupies it for ``bytes / bandwidth``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -194,11 +194,9 @@ class RegionTable:
 class _Server:
     """Deterministic single-server queue in virtual time.
 
-    The recurrence is max-plus: ``free = max(free, now) + service``.  The
-    vectorized kernels in :mod:`repro.hw.vector` reproduce this recurrence
-    bit-exactly for a whole batch of arrivals (see ``serve_constant``),
-    and ``Machine._scalar_span`` inlines it per access on the server
-    handles; any change to the arithmetic here must be mirrored in both.
+    The recurrence is max-plus: ``free = max(free, now) + service``.
+    ``Machine._scalar_span`` inlines it per access on the server handles;
+    any change to the arithmetic here must be mirrored there.
     """
 
     __slots__ = ("free_at", "busy_ns", "wait_ns", "requests")
@@ -257,10 +255,6 @@ class ChannelBank:
         """Bytes/ns a single socket can sustain."""
         return self.channels_per_socket * self.bytes_per_ns
 
-    def server(self, socket: int, channel: int) -> _Server:
-        """Direct server handle (used by the vectorized batch kernels)."""
-        return self._servers[socket][channel]
-
     def stats(self) -> List[Dict[str, float]]:
         """Per-socket utilization, aggregated over the socket's channels."""
         out = []
@@ -284,7 +278,6 @@ class CrossSocketLinks:
     """
 
     def __init__(self, sockets: int, bytes_per_ns_per_link: float):
-        self.sockets = sockets
         self.bytes_per_ns = bytes_per_ns_per_link
         self._servers: Dict[Tuple[int, int], _Server] = {}
         for a in range(sockets):
@@ -306,10 +299,6 @@ class CrossSocketLinks:
 
     def busy_ns(self, socket_a: int, socket_b: int) -> float:
         return self.rows[socket_a][socket_b].busy_ns
-
-    def server(self, socket_a: int, socket_b: int) -> Optional[_Server]:
-        """Direct server handle, or ``None`` for a same-socket pair."""
-        return self.rows[socket_a][socket_b]
 
     def stats(self) -> List[Dict[str, float]]:
         out = []
@@ -336,10 +325,6 @@ class LinkBank:
 
     def requests(self, chiplet: int) -> int:
         return self._servers[chiplet].requests
-
-    def server(self, chiplet: int) -> _Server:
-        """Direct server handle (used by the vectorized batch kernels)."""
-        return self._servers[chiplet]
 
     def stats(self) -> List[Dict[str, float]]:
         out = []

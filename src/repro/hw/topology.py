@@ -114,13 +114,6 @@ class Topology:
         return tuple(ch // cps for ch in range(self.total_chiplets))
 
     @cached_property
-    def socket_of_chiplet_arr(self) -> "object":
-        """``socket_of_chiplet_table`` as an int64 numpy array (cached)."""
-        import numpy as np
-
-        return np.asarray(self.socket_of_chiplet_table, dtype=np.int64)
-
-    @cached_property
     def chiplet_distance_matrix(self) -> Tuple[Distance, ...]:
         """Flat ``total_chiplets x total_chiplets`` distance-class matrix.
 

@@ -4,16 +4,15 @@ Unlike everything else in ``repro.obs`` — which observes the simulated
 machine in virtual time — this profiler observes the simulator itself in
 host wall-clock time, attributing it to the machine's access paths:
 
-- ``scalar``         — the per-access fallback loop (``Machine._scalar_span``)
-- ``vec_miss``       — vectorized DRAM-fill segments (``dram_fill_segment``)
-- ``vec_hit``        — vectorized local-hit segments (``local_hit_segment``)
-- ``vec_peer``       — always zero: peer fills take the scalar span
-- ``vec_gather``     — whole-batch gather kernel on unsorted unique
-  batches (``gather_segment``, no duplicates present)
-- ``vec_dup_replay`` — the same kernel when repeats were replayed as hits
-- ``hot_replay``     — always zero: resident re-read runs take ``vec_hit``.
-  This name and ``vec_peer`` stay because the end-to-end benchmark's
-  tracer reads every path by name and reports ``hw.<path>.*``
+- ``scalar``         — the per-access loop (``Machine._scalar_span``), which
+  services every block the local-hit kernel does not
+- ``vec_hit``        — local-hit runs of sorted batches
+  (``Machine._local_hit_segment``)
+- ``vec_miss``, ``vec_peer``, ``vec_gather``, ``vec_dup_replay`` and
+  ``hot_replay`` — always zero: their kernels are deleted and those
+  blocks take the scalar span.  The names stay because the end-to-end
+  benchmark's tracer reads every path by name and reports
+  ``hw.<path>.*``
 - ``access``         — single-access ``Machine.access`` calls
 - ``program``        — the worker's compiled op-program walk
   (``Worker._run_program``), net of the kernel time above

@@ -72,7 +72,6 @@ class Telemetry:
             pass
 
         self.bus.subscribe("hw.batch", pulse)
-        self.bus.subscribe("cache.fill_run", tally)
         self.bus.subscribe("cache.touch_run", tally)
         self.bus.subscribe("worker.steal", tally)
         self._install_pulse_hooks()

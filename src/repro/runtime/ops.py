@@ -73,10 +73,9 @@ class AccessRun:
 
     The streaming shape (sequential scans, strided column walks) that
     used to materialize million-entry block lists.  A run is
-    duplicate-free by construction, so the machine can route it straight
-    to the vectorized kernels (:mod:`repro.hw.vector`) without a
-    distinctness check — and never builds a per-block Python list at all.
-    Semantics are identical to ``AccessBatch(region, list(range(...)))``.
+    duplicate-free by construction, so the machine routes it straight to
+    the sorted-batch route (``Machine._service_segment``) without a
+    distinctness or bounds check per block.  Semantics are identical to ``AccessBatch(region, list(range(...)))``.
     """
 
     region: Region

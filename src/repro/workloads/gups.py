@@ -85,8 +85,8 @@ def _gups_task(region, table: np.ndarray, idx_stream: np.ndarray, word_bytes: in
     for start in range(0, n, UPDATES_PER_BATCH):
         idx = idx_stream[start : start + UPDATES_PER_BATCH]
         # Raw update order, repeats and all: every XOR touches memory, and
-        # the gather kernel services unsorted duplicate-laden batches
-        # directly (repeats replay as L3 hits after the first touch).
+        # the machine's scalar span services unsorted duplicate-laden
+        # batches directly (repeats hit in L3 after the first touch).
         blocks = idx * word_bytes // block_bytes
         program.batch(region, blocks, write=True, nbytes=UPDATE_BYTES)
         program.compute(idx.size * UPDATE_COMPUTE_NS)

@@ -108,9 +108,9 @@ def run_oltp(
                 continue
             # Record traffic: reads first, then written records, each in
             # raw op order with repeats kept — a transaction touching the
-            # same record twice really touches memory twice.  The gather
-            # kernel services unsorted duplicate-laden batches directly
-            # (repeats replay as L3 hits after the first touch).
+            # same record twice really touches memory twice.  The
+            # machine's scalar span services unsorted duplicate-laden
+            # batches directly (repeats hit in L3 after the first touch).
             read_blocks = np.fromiter(
                 (_key_block(k, table_region) for k, w in ops if not w),
                 dtype=np.int64)

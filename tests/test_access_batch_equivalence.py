@@ -12,8 +12,8 @@ loop, so this suite is the independent reference for that loop too.  The
 ``dse_tiny128`` geometry (8-block slices, two sockets) makes batches
 evict their own fills and peers' shared blocks, and fill across sockets;
 a second region with double-size blocks, homed on the last NUMA node,
-mixes entry sizes in one slice (multi-victim evictions, the
-``_uniform_nb`` transitions) and adds remote-DRAM fills.
+mixes entry sizes in one slice (multi-victim evictions) and adds
+remote-DRAM fills.
 """
 
 import numpy as np

@@ -78,10 +78,8 @@ def _ops(draw):
 def test_lru_matches_model(ops):
     """The cache agrees with a plain ``{block: nbytes}`` byte-budgeted LRU.
 
-    Pins the byte-weighted eviction rule that ``fill_run`` and the vector
-    kernels reproduce in bulk: an insert evicts from the LRU front until
-    its bytes fit, and an int ``_uniform_nb`` means every resident entry
-    is exactly that many bytes.
+    Pins the byte-weighted eviction rule that the scalar span inlines:
+    an insert evicts from the LRU front until its bytes fit.
     """
     cap = 4 * 64
     c = ChipletCache(0, capacity_bytes=cap)
@@ -108,8 +106,6 @@ def test_lru_matches_model(ops):
         assert list(c._lru.items()) == list(model.items())
         assert c.used_bytes == sum(model.values())
         assert c.evictions == evictions
-        if c._uniform_nb is not None:
-            assert all(v == c._uniform_nb for v in model.values())
 
 
 def _system():

@@ -1,8 +1,8 @@
-"""Whole-cell bit-identity: vector kernels on vs the forced-scalar twin.
+"""Whole-cell bit-identity: local-hit kernel on vs the forced-scalar twin.
 
 The kernel suites pin each access path on synthetic batches; this one
 pins them on real experiment cells.  A cell's result digest with the
-vector kernels enabled must equal its digest with every batch forced
+local-hit kernel enabled must equal its digest with every batch forced
 through the scalar loop (:func:`tests.twins.forced_scalar`).  One quick
 cell per workload family must match.
 
@@ -74,4 +74,4 @@ def test_cell_matches_forced_scalar(cell_id):
     vec = _digest(execute_cell(cell))
     with forced_scalar():
         ref = _digest(execute_cell(cell))
-    assert vec == ref, f"{cell_id}: vector digest differs from forced scalar"
+    assert vec == ref, f"{cell_id}: kernel digest differs from forced scalar"

@@ -1,35 +1,28 @@
-"""Bit-identity of the gather/scatter kernel vs the scalar path.
+"""Unsorted and duplicate-laden batches vs the per-access reference.
 
-PR 3/4 proved the sorted-unique miss, hit, and peer-fill kernels
-bit-identical; this suite covers the gather kernel that services
-*unsorted, duplicate-laden* batches directly: the inverse-permutation
-scatter of per-class delays, the duplicate-replay clock math (repeats
-resolve against the first touch's fill), the composite-key bank
-grouping, the single ``serve_groups`` call across channel/peer/xlink
-server classes, and the bulk LRU/directory writeback underneath.
-
-The contract is the one every kernel in :mod:`repro.hw.vector` obeys:
-virtual times, LRU contents *and order*, the sharing directory,
-hit/miss/eviction statistics, per-core fill counters, and bandwidth
-server state must match a forced-scalar twin exactly — bit for bit —
-and every run must leave the directory structurally consistent
+Gather-shaped batches — unsorted, with repeats, reads and writes with
+sharers — take ``Machine._scalar_span`` whole.  Because the forced-scalar
+twin *is* that loop, every case here compares the batch path against
+:func:`tests.twins.replay_per_access`, which services every block through
+:meth:`Machine.access` and shares no code with it: batch results (``ns``,
+``finish``, fill counts, invalidations) and the full machine state —
+LRU contents *and order*, the sharing directory, hit/miss/eviction
+statistics, per-core fill counters, fill-latency chains and bandwidth
+server state — must match bit for bit, and every run must leave the
+directory structurally consistent
 (:meth:`CacheSystem.check_directory_consistent`).
 
-Scenario shapes pin the gather-specific classes: raw gups-style streams
-(unsorted, occasional repeats), duplicate-heavy batches drawn from a
-tiny block pool, reverse-sorted batches, and mixed read/write sequences
-interleaved across cores so directory state carries between batches.
+Scenario shapes: raw gups-style streams (unsorted, occasional repeats),
+duplicate-heavy batches drawn from a tiny block pool, reverse-sorted
+batches, peer fills after a cross-core warm, and mixed read/write
+sequences interleaved across cores so directory state carries between
+batches.
 
 The *overflow* regime — batches whose fills evict their own blocks, the
-shape every DSE GUPS batch takes on 8–64-block slices — fails the
-certificate, so the gather kernel declines it untouched and the batch
-takes the scalar loop.  The tiny-slice machines (the 8-block test machine
-and a DSE geometry built at scale 128) put every random batch there;
-dedicated cases pin re-misses after self-eviction (to the peer holder on
-reads, to DRAM after a write's first-touch invalidation).  Because the
-forced-scalar twin *is* that loop, those cases also compare against
-:func:`tests.twins.replay_per_access`, which services every block through
-:meth:`Machine.access` and shares no code with it.
+shape every DSE GUPS batch takes on 8–64-block slices — is pinned on the
+tiny-slice machines (the 8-block test machine and a DSE geometry built
+at scale 128): re-misses after self-eviction go to the peer holder on
+reads and to DRAM after a write's first-touch invalidation.
 """
 
 import numpy as np
@@ -66,15 +59,19 @@ def _pair(mk, policy=MemPolicy.INTERLEAVE, blocks=96):
 
 
 def _drive(m_vec, r_vec, m_ref, r_ref, batches):
-    """Run (core, blocks, write) batches through both twins, clock-chained."""
+    """Run (core, blocks, write) batches through the batch path and the
+    per-access reference, clock-chained."""
     now = 0.0
     for core, blocks, write in batches:
         res_v = m_vec.access_batch(core, r_vec, np.asarray(blocks, dtype=np.int64),
                                    now=now, write=write)
-        res_s = scalar_batch(m_ref, core, r_ref, blocks, now, write=write)
-        assert res_v.ns == res_s.ns, "virtual time diverged"
-        assert res_v.finish == res_s.finish
-        assert res_v.fill_counts == res_s.fill_counts
+        end, finish, counts, inval = replay_per_access(
+            m_ref, core, r_ref, np.asarray(blocks).tolist(), now, None, write,
+            0.0, 1.0)
+        assert res_v.ns == end - now, "virtual time diverged"
+        assert res_v.finish == finish
+        assert res_v.fill_counts == counts
+        assert res_v.invalidations == inval
         now += res_v.ns
     assert_same_state(m_vec, m_ref)
 
@@ -170,19 +167,15 @@ def _cores_on_distinct_chiplets(m, k):
 
 
 def _overflow_drive(mk, policy, warm, batches, blocks):
-    """Warm three twins, then drive ``batches`` through each: the batch
-    path (profiled), the forced-scalar twin and the per-access reference
-    (:func:`replay_per_access`).  All three agree bit for bit, and every
-    access of the overflowing batches takes the scalar loop."""
-    m_vec, r_vec, m_ref, r_ref = _pair(mk, policy, blocks=blocks)
-    m_acc = mk()
-    r_acc = m_acc.alloc_region(blocks * m_acc.block_bytes, node=0,
-                               policy=policy, name="geq")
+    """Warm two twins, then drive ``batches`` through the batch path
+    (profiled) and the per-access reference (:func:`replay_per_access`).
+    Both agree bit for bit, and every access of the overflowing batches
+    takes the scalar loop."""
+    m_vec, r_vec, m_acc, r_acc = _pair(mk, policy, blocks=blocks)
     now = 0.0
     for core, blks in warm:
-        scalar_batch(m_vec, core, r_vec, blks, now)
         replay_per_access(m_acc, core, r_acc, blks, now, None, False, 0.0, 1.0)
-        now += scalar_batch(m_ref, core, r_ref, blks, now).ns
+        now += scalar_batch(m_vec, core, r_vec, blks, now).ns
     prof = KernelProfiler()
     m_vec.profiler = prof
     results = []
@@ -190,18 +183,13 @@ def _overflow_drive(mk, policy, warm, batches, blocks):
         res_v = m_vec.access_batch(core, r_vec,
                                    np.asarray(blks, dtype=np.int64),
                                    now=now, write=write, mlp=4.0)
-        res_s = scalar_batch(m_ref, core, r_ref, blks, now, write=write,
-                             mlp=4.0)
         got = (res_v.ns, res_v.finish, res_v.fill_counts, res_v.invalidations)
-        assert got == (res_s.ns, res_s.finish, res_s.fill_counts,
-                       res_s.invalidations)
         end, finish, counts, inval = replay_per_access(
             m_acc, core, r_acc, np.asarray(blks).tolist(), now, None, write,
             0.0, 4.0)
         assert got == (end - now, finish, counts, inval)
         now += res_v.ns
         results.append(res_v)
-    assert_same_state(m_vec, m_ref)
     assert_same_state(m_vec, m_acc)
     assert prof.accesses["scalar"] == sum(len(b) for _, b, _ in batches)
     return m_vec, r_vec, results
@@ -273,9 +261,8 @@ def test_overflow_duplicate_heavy_batches_across_cores(mk, policy):
 
 
 def test_dse_gups_cell_overflow_batches_take_the_scalar_loop():
-    """A DSE GUPS cell: its update batches overflow the 64-block slice,
-    fail the certificate and take the scalar loop; every update is
-    serviced by exactly one of the gather kernel and the scalar loop."""
+    """A DSE GUPS cell: its update batches overflow the 64-block slice
+    and every update is serviced by the scalar loop."""
     from repro.bench.dse import _geometry_of, dse_cells
     from repro.bench.experiments import _strategy_for
     from repro.workloads.gups import run_gups
@@ -288,10 +275,7 @@ def test_dse_gups_cell_overflow_batches_take_the_scalar_loop():
     run_gups(m, _strategy_for(cell.strategy, m), cell.cores,
              p["table_bytes"], updates_per_worker=p["updates_per_worker"],
              seed=cell.seed)
-    assert prof.accesses["scalar"] > 0
-    assert (prof.accesses["vec_gather"] + prof.accesses["vec_dup_replay"]
-            + prof.accesses["scalar"]
-            == cell.cores * p["updates_per_worker"])
+    assert prof.accesses["scalar"] == cell.cores * p["updates_per_worker"]
 
 
 # --- memory-footprint smoke: mask directory vs a {block: set} directory ---

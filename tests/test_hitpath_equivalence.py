@@ -1,12 +1,11 @@
 """Bit-identity of the hit path and of peer fills vs the scalar path.
 
-The miss-path kernels have their own suite; this one covers the hit
-class and the peer fills around it: the bulk LRU touch
-(``CacheSystem.touch_run``), the segment classifier's hit / miss /
-scalar labelling (a block only peers hold is scalar, so peer-heavy
-batches pin the scalar span inside the segment route), repeated
-resident ``access_run`` re-reads, and the per-source fill-latency
-histogram.
+This suite covers the hit class and the peer fills around it: the bulk
+LRU touch (``CacheSystem.touch_run``), the segment classifier's hit /
+miss / scalar labelling (a block only peers hold is scalar, so
+peer-heavy batches pin the scalar span inside the segment route),
+repeated resident ``access_run`` re-reads, and the per-source
+fill-latency histogram.
 The contract is unchanged: virtual times, LRU contents *and order*, the
 sharing directory, hit/miss/eviction statistics, per-core fill
 counters, and bandwidth server state must match a forced-scalar twin
@@ -14,10 +13,10 @@ exactly — bit for bit.
 
 Scenario shapes are chosen to pin each class: hit-heavy (warm re-reads),
 peer-heavy (another chiplet is the holder), and mixed batches with
-duplicates (unsorted and duplicate-laden, so the gather kernel takes
-them).  One known divergence of the segment route — a hit run evicted by
-a short pending scalar span flushed ahead of it — is pinned as strict
-xfails, in its ``access_batch`` and its ``access_run`` shape.  A long
+duplicates (unsorted and duplicate-laden, so the scalar loop takes
+them whole).  One known divergence of the segment route — a hit run
+evicted by a short pending scalar span flushed ahead of it — is pinned
+as strict xfails, in its ``access_batch`` and its ``access_run`` shape.  A long
 scalar run (here: peer fills) is serviced when the route reaches it, so
 its evictions do reach the guard; that shape is pinned as matching.
 """
@@ -33,7 +32,7 @@ from repro.hw.topology import Topology
 from repro.obs.selfprof import KernelProfiler
 
 from repro.hw.machine import milan, sapphire_rapids, small_test_machine
-from tests.twins import assert_same_state, scalar_batch
+from tests.twins import assert_same_state, replay_per_access, scalar_batch
 
 MACHINES = {
     "small_test_machine": small_test_machine,
@@ -206,32 +205,25 @@ def test_mixed_duplicate_batches_bit_identical(mk, data):
     assert_same_state(m_vec, m_ref)
 
 
-def test_all_duplicates_batch_needs_no_scalar_span(tiny):
-    """A pathological all-repeats batch is serviced without a scalar loop.
-
-    The gather kernel replays repeats as hits directly, so the batch
-    costs *zero* scalar spans.  Bit-identity is asserted against a
-    forced-scalar twin.
-    """
+def test_all_duplicates_batch_bit_identical(tiny):
+    """A pathological all-repeats batch (unsorted, so it takes the scalar
+    loop whole) matches the forced-scalar twin and the per-access
+    reference bit for bit."""
     ref = machine_mod.small_test_machine()
+    acc = machine_mod.small_test_machine()
     r_vec = tiny.alloc_region(64 * tiny.block_bytes, node=0, name="dup")
     r_ref = ref.alloc_region(64 * ref.block_bytes, node=0, name="dup")
+    r_acc = acc.alloc_region(64 * acc.block_bytes, node=0, name="dup")
     blocks = [5] * (4 * machine_mod.VECTOR_MIN)
-
-    calls = []
-    orig = tiny._scalar_span
-
-    def counting_span(*args, **kw):
-        calls.append(args)
-        return orig(*args, **kw)
-
-    tiny._scalar_span = counting_span
     res_v = tiny.access_batch(0, r_vec, blocks, now=0.0)
     res_r = scalar_batch(ref, 0, r_ref, blocks, 0.0)
-    assert len(calls) == 0
     assert res_v.ns == res_r.ns and res_v.finish == res_r.finish
-    del tiny._scalar_span
+    assert res_v.fill_counts == res_r.fill_counts
+    end, finish, counts, _ = replay_per_access(acc, 0, r_acc, blocks, 0.0,
+                                               None, False, 0.0, 1.0)
+    assert (res_v.ns, res_v.finish, res_v.fill_counts) == (end, finish, counts)
     assert_same_state(tiny, ref)
+    assert_same_state(tiny, acc)
 
 
 # -- Stale hit run: the eviction guard fires too early ----------------------

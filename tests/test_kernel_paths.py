@@ -3,15 +3,16 @@
 Every shape below drives a full :class:`~repro.runtime.runtime.Runtime`
 (``milan(scale=32)``, 16 workers, ``CharmStrategy``, seed 7; PageRank on
 ``milan(scale=8)``, whose two packed chiplets hold the whole graph)
-through one distinct service path of ``Machine.access_batch`` /
+through one distinct access shape of ``Machine.access_batch`` /
 ``access_run``, with a :class:`~repro.obs.selfprof.KernelProfiler`
 attached.  The test pins the exact ``calls`` and ``accesses`` of every
 machine access path (not the runtime's ``program`` and
 ``orchestration`` buckets), the machine's ``total_accesses``, the
 virtual ``sim_wall_ns`` and the fill counts.  The counts are
 host-independent, so unlike a wall-clock floor they never flake: a
-vector kernel that silently starts declining its batches moves blocks to
-the ``scalar`` path and fails here by name.
+local-hit run that silently falls back moves blocks to the ``scalar``
+path, and a routing change moves ``scalar`` calls; either fails here by
+name.
 
 Each shape then runs again without the profiler and must reproduce the
 virtual results bit for bit (determinism, and proof that the profiler
@@ -159,24 +160,21 @@ def shape_pagerank_micro(iterations=2):
 #: total_accesses, sim_wall_ns, fills as
 #: (local_chiplet, remote_chiplet, remote_numa_chiplet, main_memory)).
 PINS = {
-    "gups": ({"vec_gather": (45, 11_520), "vec_dup_replay": (211, 54_016)},
+    "gups": ({"scalar": (256, 65_536)},
              65_536, 84517.41276788736, (949, 4_137, 0, 60_450)),
-    "gups_sorted": ({"vec_gather": (256, 65_077)},
+    "gups_sorted": ({"scalar": (640, 65_077)},
                     65_077, 85346.9861596301, (662, 3_895, 0, 60_520)),
-    "gups_dup": ({"vec_dup_replay": (256, 65_536)},
+    "gups_dup": ({"scalar": (256, 65_536)},
                  65_536, 54767.61382963355, (37_659, 1_283, 0, 26_594)),
-    "stream": ({"vec_miss": (256, 65_536)},
+    "stream": ({"scalar": (256, 65_536)},
                65_536, 1328295.1276595725, (0, 0, 0, 65_536)),
-    "stream_run": ({"vec_miss": (256, 65_536)},
+    "stream_run": ({"scalar": (256, 65_536)},
                    65_536, 1328295.1276595725, (0, 0, 0, 65_536)),
-    "shared_read": ({"scalar": (4, 512), "vec_miss": (1, 128),
-                     "vec_hit": (59, 7_552)},
+    "shared_read": ({"scalar": (5, 640), "vec_hit": (59, 7_552)},
                     8_192, 75279.28085106355, (7_552, 512, 0, 128)),
-    "shared_read_hot": ({"scalar": (4, 512), "vec_miss": (1, 128),
-                         "vec_hit": (123, 15_744)},
+    "shared_read_hot": ({"scalar": (5, 640), "vec_hit": (123, 15_744)},
                         16_384, 77607.28085106355, (15_744, 512, 0, 128)),
-    "pagerank_micro": ({"scalar": (79, 1_323), "vec_miss": (17, 3_396),
-                        "vec_hit": (33, 4_151)},
+    "pagerank_micro": ({"scalar": (82, 4_719), "vec_hit": (33, 4_151)},
                        8_870, 75059.83221908308, (4_995, 479, 0, 3_396)),
 }
 

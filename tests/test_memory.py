@@ -146,7 +146,7 @@ def test_node_of_block_replicated_without_requester_falls_back_to_home():
     )
 )
 def test_server_queue_recurrence_properties(arrivals):
-    """The recurrence the vector kernels must reproduce: ``free = max(free, t) + s``.
+    """The recurrence the scalar span inlines: ``free = max(free, t) + s``.
 
     free_at is monotone non-decreasing, busy_ns is the exact (ordered) sum
     of service times, waits are non-negative, and total delay = wait + s.

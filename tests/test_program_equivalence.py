@@ -3,7 +3,7 @@
 PR 9's compiled-execution fast path hands whole :class:`OpProgram`
 columns to the worker (``Worker._run_program``) instead of yielding one
 op dataclass per generator ``send()``.  The contract is the same one the
-vector kernels obey: the compiled walk must be *bit-identical* to the
+machine's access paths obey: the compiled walk must be *bit-identical* to the
 per-op dispatch path — every virtual time, every worker clock, the
 event-loop step count, fill counters, LRU contents and order, the
 sharing directory, and channel / fabric-link / cross-socket server

@@ -1,26 +1,27 @@
-"""Bit-identity of the vectorized access kernels vs the scalar path.
+"""Bit-identity of the batch access paths vs the forced-scalar twin.
 
-``Machine.access_batch``/``access_run`` route vectorizable segments
-through :mod:`repro.hw.vector`; everything else falls back to the scalar
-loop.  The contract is that both paths are **bit-identical**: virtual
-times, fill counters, per-slice LRU contents *and order*, the sharing
-directory, hit/miss/eviction statistics, and the bandwidth-server state
-(free_at/busy_ns/wait_ns/requests) must match exactly.
+``Machine.access_batch``/``access_run`` route the long local-hit runs of
+sorted batches through the local-hit kernel and every other block
+through the scalar loop.  The contract is that both paths are
+**bit-identical**: virtual times, fill counters, per-slice LRU contents
+*and order*, the sharing directory, hit/miss/eviction statistics, and the
+bandwidth-server state (free_at/busy_ns/wait_ns/requests) must match
+exactly.
 
 The property tests here force the scalar path on a twin machine (by
 raising ``VECTOR_MIN`` beyond any batch size) and compare full machine
 state after pathological batch sequences: duplicates, capacity-overflow
 runs, mixed hit/miss, cross-socket holders, writes with sharers, and
-strided runs.
+strided runs.  ``access_run`` is also pinned against the equivalent
+list batch, and its bounds checks and empty runs are covered.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.hw.machine import milan, sapphire_rapids, small_test_machine
-from repro.hw.memory import MemPolicy, _Server
-from repro.hw.vector import serve_constant, serve_groups
+from repro.hw.memory import MemPolicy
 from tests.twins import assert_same_state, scalar_batch
 
 MACHINES = {
@@ -30,7 +31,7 @@ MACHINES = {
 }
 
 
-# -- Full-machine equivalence: vector path vs forced-scalar twin -------------
+# -- Full-machine equivalence: batch path vs forced-scalar twin --------------
 
 @st.composite
 def batch_spec(draw, n_blocks):
@@ -161,155 +162,3 @@ def test_access_run_empty_is_noop(tiny):
     res = tiny.access_run(0, r, 0, 0, now=50.0)
     assert res.ns == 0.0 and res.finish == 50.0
     assert tiny.total_accesses == 0
-
-
-# -- serve_constant vs sequential _Server.service ----------------------------
-
-@settings(max_examples=60, deadline=None)
-# One arrival on an idle server.
-@example(gaps=[1.0], s=5.0, free0=0.0, t0=10.0)
-# Arrivals spaced >= s apart on an idle server.
-@example(gaps=[10.0] * 6, s=5.0, free0=0.0, t0=10.0)
-# Twelve arrivals in four short busy periods, idle and busy carry-in.
-@example(gaps=[1.0, 1.0, 20.0] * 4, s=5.0, free0=0.0, t0=0.0)
-@example(gaps=[1.0, 1.0, 20.0] * 4, s=5.0, free0=12.0, t0=0.0)
-@given(
-    gaps=st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1, max_size=40),
-    s=st.floats(0.1, 30.0, allow_nan=False),
-    free0=st.floats(0.0, 100.0, allow_nan=False),
-    t0=st.floats(0.0, 100.0, allow_nan=False),
-)
-def test_serve_constant_replays_scalar_server(gaps, s, free0, t0):
-    t = np.cumsum(np.concatenate(([t0], gaps)))[:-1] if len(gaps) > 1 else \
-        np.array([t0])
-    ref = _Server()
-    vec = _Server()
-    ref.free_at = vec.free_at = free0
-    exp_d = np.empty(t.size)
-    exp_w = np.empty(t.size)
-    for i, ti in enumerate(t):
-        exp_d[i], exp_w[i] = ref.service(float(ti), s)
-    got_d, got_w = serve_constant(vec, t, s)
-    assert np.array_equal(got_d, exp_d)
-    assert np.array_equal(got_w, exp_w)
-    assert vec.free_at == ref.free_at
-    assert vec.busy_ns == ref.busy_ns
-    assert vec.wait_ns == ref.wait_ns
-    assert vec.requests == ref.requests
-
-
-@st.composite
-def server_groups(draw):
-    """1-6 distinct servers, each with its own service time, carry-in
-    state and arrival group: a singleton, arrivals spaced at least the
-    service time apart, or (when ``dense`` is drawn) a dense group."""
-    dense = draw(st.booleans())
-    kinds = ["singleton", "spaced"] + (["dense"] if dense else [])
-    groups = []
-    for _ in range(draw(st.integers(1, 6))):
-        s = draw(st.floats(0.1, 30.0))
-        kind = draw(st.sampled_from(kinds))
-        n = 1 if kind == "singleton" else draw(st.integers(2, 12))
-        t = [draw(st.floats(0.0, 100.0))]
-        for _ in range(n - 1):
-            lo, hi = (0.0, s / 2) if kind == "dense" else (s, s + 20.0)
-            t.append(t[-1] + draw(st.floats(lo, hi)))
-        if draw(st.booleans()):
-            free0 = t[0] + draw(st.floats(0.0, 100.0))  # busy carry-in
-        else:
-            free0 = draw(st.floats(0.0, t[0]))           # idle carry-in
-        seeds = (free0, draw(st.floats(0.0, 1e4)), draw(st.floats(0.0, 1e4)),
-                 draw(st.integers(0, 50)))
-        groups.append((s, t, seeds))
-    return groups
-
-
-def _seeded_server(seeds):
-    srv = _Server()
-    srv.free_at, srv.busy_ns, srv.wait_ns, srv.requests = seeds
-    return srv
-
-
-@settings(max_examples=80, deadline=None)
-@given(groups=server_groups())
-def test_serve_groups_replays_scalar_servers(groups):
-    """serve_groups == one sequential ``_Server.service`` chain per group:
-    every delay and every server's free_at/busy_ns/wait_ns/requests."""
-    refs = [_seeded_server(seeds) for _, _, seeds in groups]
-    vecs = [_seeded_server(seeds) for _, _, seeds in groups]
-    exp_d = [ref.service(ti, s)[0]
-             for ref, (s, t, _) in zip(refs, groups) for ti in t]
-    t_all = np.array([ti for _, t, _ in groups for ti in t])
-    bounds = np.cumsum([0] + [len(t) for _, t, _ in groups])
-    s_row = np.array([s for s, _, _ in groups])
-    got_d = serve_groups(vecs, t_all, bounds, s_row)
-    assert np.array_equal(got_d, np.array(exp_d))
-    for ref, vec in zip(refs, vecs):
-        assert (vec.free_at, vec.busy_ns, vec.wait_ns, vec.requests) == \
-            (ref.free_at, ref.busy_ns, ref.wait_ns, ref.requests)
-
-
-def test_serve_constant_empty():
-    srv = _Server()
-    d, w = serve_constant(srv, np.empty(0), 5.0)
-    assert d.size == 0 and w.size == 0
-    assert srv.requests == 0 and srv.free_at == 0.0
-
-
-# -- fill_run vs sequential fill ---------------------------------------------
-
-@settings(max_examples=60, deadline=None)
-@given(
-    capacity_blocks=st.integers(1, 12),
-    pre=st.integers(0, 12),
-    k=st.integers(1, 30),
-    nbytes=st.integers(1, 200),
-    peer_held=st.integers(0, 12),
-    uniform=st.booleans(),
-)
-# A full uniform slice turned over exactly (every resident entry is a
-# victim, so the slice is cleared in one go), with no victim shared and
-# with one victim shared (its entry keeps the peer's bit).
-@example(capacity_blocks=4, pre=4, k=4, nbytes=64, peer_held=0, uniform=True)
-@example(capacity_blocks=4, pre=4, k=4, nbytes=64, peer_held=1, uniform=True)
-def test_fill_run_equivalent_to_sequential_fill(capacity_blocks, pre, k,
-                                                nbytes, peer_held, uniform):
-    from repro.hw.cache import CacheSystem
-    from repro.hw.topology import Topology
-
-    topo = Topology(sockets=1, chiplets_per_socket=2, cores_per_chiplet=1,
-                    name="t")
-    cap = capacity_blocks * 64
-    a = CacheSystem(topo, cap)
-    b = CacheSystem(topo, cap)
-    # Pre-populate with residents sized like the run (``uniform``) or
-    # mixed-size, so eviction prefixes cross entry boundaries at odd byte
-    # counts.  The first ``peer_held`` of them chiplet 1 holds too, so
-    # their eviction keeps a directory entry alive.
-    for cs in (a, b):
-        for i in range(pre):
-            cs.fill(0, 1000 + i, nbytes if uniform else 64 if i % 2 else 32)
-            if i < peer_held:
-                cs.fill(1, 1000 + i, 64)
-    blocks = list(range(k))
-    evictions_before = b.caches[0].evictions  # prefill may itself evict
-    for blk in blocks:
-        a.fill(0, blk, nbytes)
-    evicted = b.fill_run(0, blocks, nbytes)
-    ca, cb = a.caches[0], b.caches[0]
-    assert list(ca._lru.items()) == list(cb._lru.items())
-    assert ca.used_bytes == cb.used_bytes
-    assert ca.evictions == cb.evictions
-    assert evicted == cb.evictions - evictions_before
-    assert {k2: frozenset(v) for k2, v in a.directory.items()} == \
-        {k2: frozenset(v) for k2, v in b.directory.items()}
-    assert b.check_directory_consistent()
-
-
-def test_fill_run_rejects_nonpositive_bytes():
-    from repro.hw.cache import CacheSystem
-    from repro.hw.topology import Topology
-
-    cs = CacheSystem(Topology(1, 1, 1, name="t"), 1024)
-    with pytest.raises(ValueError, match="positive"):
-        cs.fill_run(0, [0, 1], 0)

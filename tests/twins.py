@@ -1,8 +1,8 @@
 """Reference-twin helpers shared by the access-path equivalence suites.
 
-Every fast path of the machine (vector kernels, compiled op programs) is
-pinned against a twin that services the same accesses the slow way; the
-two machines must then agree on :meth:`Machine.state_fingerprint` — LRU
+Every fast path of the machine (the local-hit kernel, compiled op
+programs) is pinned against a twin that services the same accesses the
+slow way; the two machines must then agree on :meth:`Machine.state_fingerprint` — LRU
 order, directory, slice counters, every server's queue state, per-core
 counters, fill-latency chains — bit for bit.
 """
@@ -26,7 +26,7 @@ def dse_tiny128():
 
 @contextmanager
 def forced_scalar():
-    """Disable the vector kernels: every batch takes the scalar loop."""
+    """Disable the local-hit kernel: every batch takes the scalar loop."""
     saved = machine_mod.VECTOR_MIN
     machine_mod.VECTOR_MIN = 1 << 60
     try:
@@ -36,7 +36,7 @@ def forced_scalar():
 
 
 def scalar_batch(machine, core, region, blocks, now, **kw):
-    """Service a batch with the vector kernels disabled (reference path)."""
+    """Service a batch with the local-hit kernel disabled (reference path)."""
     with forced_scalar():
         return machine.access_batch(core, region, list(blocks), now, **kw)
 
